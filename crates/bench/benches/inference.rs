@@ -3,7 +3,7 @@
 //! models on CPU should land in the same order of magnitude).
 //!
 //! Each stage is measured twice: once through the historical allocating
-//! path (`Network::predict`, fresh activation buffers per window — what
+//! path (`Network::forward`, fresh activation buffers per window — what
 //! both the offline and online code used before the `InferenceEngine`
 //! refactor) and once through the allocation-free path
 //! (`Network::predict_scratch` / `score_window_scratch`, caller-owned
@@ -35,7 +35,7 @@ fn bench_inference(c: &mut Criterion) {
 
     // Stage 1 per window: allocating baseline vs reused buffers.
     c.bench_function("gesture_window_alloc (pre-refactor)", |b| {
-        b.iter(|| black_box(pipeline.gesture_net.predict(black_box(&gwindow))))
+        b.iter(|| black_box(pipeline.gesture_net.forward(black_box(&gwindow))))
     });
     let mut logits = Mat::zeros(0, 0);
     let mut gscratch = pipeline.gesture_net.make_scratch();
@@ -52,7 +52,7 @@ fn bench_inference(c: &mut Criterion) {
     let g = *pipeline.error_nets.keys().next().expect("a dedicated classifier");
     c.bench_function("error_window_alloc (pre-refactor)", |b| {
         let net = pipeline.error_nets.get_mut(&g).expect("dedicated classifier");
-        b.iter(|| black_box(nn::loss::softmax(net.predict(black_box(&window)).row(0))[1]))
+        b.iter(|| black_box(nn::loss::softmax(net.forward(black_box(&window)).row(0))[1]))
     });
     let mut probs = [0.0f32; 2];
     let mut escratch = pipeline.error_scratch();

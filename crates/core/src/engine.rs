@@ -12,7 +12,7 @@
 //!
 //! Per frame, the steady-state hot path performs **no heap allocation**:
 //! feature extraction, normalization, windowing, both network forward passes
-//! (via [`nn::Network::predict_into`]), the softmax, and the majority filter
+//! (via [`nn::Network::predict_scratch`]), the softmax, and the majority filter
 //! all reuse preallocated buffers. The paper reports 1.5–3.2 ms per-sample
 //! compute (Table VIII); keeping the per-frame path allocation-free is what
 //! lets one process multiplex many concurrent surgical sessions
@@ -630,7 +630,7 @@ pub fn step_batch(
         };
         let Some(route_class) = routing else { continue };
         match pipeline.error_route(route_class, e.mode) {
-            // No classifier for this route: scored 0, like score_window.
+            // No classifier for this route: scored 0, like score_window_scratch.
             // lint: allow(panic, reason = "scores was resized to jobs.len(), so j is in range")
             None => scores[j] = Some(0.0),
             Some(route) => pending.push((j, route)),

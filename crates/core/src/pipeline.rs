@@ -464,21 +464,11 @@ impl TrainedPipeline {
 
     /// Scores one window's unsafe probability, routing to the
     /// gesture-specific classifier (with global fallback) or the global
-    /// classifier depending on `mode`. Convenience wrapper that allocates
-    /// fresh scratch; the hot path uses
-    /// [`TrainedPipeline::score_window_scratch`].
-    pub fn score_window(&self, window: &Mat, gesture: usize, mode: ContextMode) -> f32 {
-        let mut logits = Mat::zeros(0, 0);
-        let mut probs = [0.0f32; 2];
-        let mut scratch = self.error_scratch();
-        self.score_window_scratch(window, gesture, mode, &mut logits, &mut probs, &mut scratch)
-    }
-
-    /// Allocation-free [`TrainedPipeline::score_window`]: the forward pass
-    /// writes into `logits`, the softmax into `probs`, and all intermediate
-    /// activations into the caller's `scratch`, so the pipeline itself
-    /// stays immutable (shareable across threads). Bit-identical results to
-    /// `score_window`.
+    /// classifier depending on `mode`; 0 when no classifier covers the
+    /// route. Allocation-free: the forward pass writes into `logits`, the
+    /// softmax into `probs`, and all intermediate activations into the
+    /// caller's `scratch`, so the pipeline itself stays immutable
+    /// (shareable across threads).
     // lint: hot-path
     pub fn score_window_scratch(
         &self,
@@ -538,9 +528,7 @@ impl TrainedPipeline {
     ///
     /// # Errors
     ///
-    /// [`QuantError::NoCalibration`] when `calib_idx` selects no windows;
-    /// [`QuantError::Unsupported`] if a classifier architecture falls
-    /// outside the quantizable layer set (the built-in specs never do).
+    /// [`QuantError::NoCalibration`] when `calib_idx` selects no windows.
     pub fn quantize(&mut self, dataset: &Dataset, calib_idx: &[usize]) -> Result<(), QuantError> {
         let cfg = self.config.clone();
         let mut gesture_cal: Vec<Mat> = Vec::new();

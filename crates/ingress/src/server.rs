@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -237,6 +237,15 @@ impl IngressServer {
         }
     }
 
+    /// Reader threads whose handles the server still holds: the live
+    /// connections plus those that exited since the last accept (each
+    /// accept joins and drops the finished ones).
+    pub fn retained_threads(&self) -> usize {
+        // A poisoned list is still a valid Vec: every update is one push
+        // or one whole-list swap.
+        self.threads.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+
     /// Stops accepting, drains every connection, and joins all threads.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
@@ -284,6 +293,7 @@ fn accept_loop(
                     .name(format!("ingress-conn-{conn}"))
                     .spawn(move || reader_loop(stream, conn, conn_ctx));
                 if let (Ok(handle), Ok(mut guard)) = (spawned, threads.lock()) {
+                    reap_finished(&mut guard);
                     guard.push(handle);
                 }
             }
@@ -292,6 +302,17 @@ fn accept_loop(
             }
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
+    }
+}
+
+/// Joins and drops the handles of reader threads that have exited, so
+/// the list tracks live connections instead of growing with session churn.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    let (finished, live): (Vec<_>, Vec<_>) =
+        std::mem::take(handles).into_iter().partition(JoinHandle::is_finished);
+    *handles = live;
+    for h in finished {
+        let _ = h.join();
     }
 }
 
@@ -312,8 +333,8 @@ fn reader_loop(mut stream: TcpStream, conn: u64, ctx: ReaderCtx) {
         Err(_) => return,
     };
     let (egress_tx, egress_rx) = unbounded::<Egress>();
-    // The writer thread joins through the server's shared handle list;
-    // it exits when every Egress sender is gone (reader + pool entry).
+    // The writer thread is detached: nothing joins it. It exits when
+    // every Egress sender is gone (reader + pool entry).
     let writer = std::thread::Builder::new()
         .name(format!("ingress-write-{conn}"))
         .spawn(move || writer_loop(writer_stream, egress_rx));

@@ -226,6 +226,27 @@ fn abrupt_disconnect_frees_the_slot() {
     let _next = admit_with_retry(&addr, Duration::from_secs(5));
 }
 
+/// Session churn must not grow the server's thread bookkeeping: each
+/// accept joins the readers that have exited, so after many sequential
+/// sessions the server holds only the live connection's handle plus a
+/// few that had not finished exiting yet.
+#[test]
+fn session_churn_does_not_retain_finished_reader_handles() {
+    let server = start_server(ContextMode::Predicted, 2, 1);
+    let addr = server.local_addr().to_string();
+    for _ in 0..50 {
+        let mut conn = Connection::connect(&addr).expect("connect");
+        conn.send_hello(false).expect("hello");
+        assert!(matches!(conn.recv().expect("welcome"), ServerMsg::Welcome { .. }));
+        conn.send_goodbye().expect("goodbye");
+        assert!(matches!(conn.recv().expect("bye"), ServerMsg::Bye { delivered: 0 }));
+        let live = server.stats().active;
+        let retained = server.retained_threads();
+        assert!(retained <= live + 4, "{retained} reader handles retained for {live} live");
+    }
+    assert_eq!(server.stats().admitted, 50);
+}
+
 /// Expects the typed error then the close, in order.
 fn expect_error_then_close(conn: &mut Connection, code: ErrorCode) {
     match conn.recv().expect("typed error before close") {

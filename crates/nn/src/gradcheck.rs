@@ -4,7 +4,7 @@
 //! matrix `C`, runs the analytic backward pass, and compares every input and
 //! parameter gradient against central finite differences.
 
-use crate::layers::{Mode, SeqLayer};
+use crate::layers::SeqLayer;
 use crate::mat::Mat;
 
 /// Deterministic pseudo-random coefficients in `[-1, 1]` used to reduce the
@@ -20,8 +20,8 @@ fn coefficients(rows: usize, cols: usize) -> Mat {
     Mat::from_vec(rows, cols, data)
 }
 
-fn scalar_loss(layer: &mut dyn SeqLayer, x: &Mat, mode: Mode) -> (f32, Mat) {
-    let y = layer.forward(x, mode);
+fn scalar_loss(layer: &mut dyn SeqLayer, x: &Mat) -> (f32, Mat) {
+    let y = layer.forward(x);
     let c = coefficients(y.rows(), y.cols());
     (y.hadamard(&c).sum(), c)
 }
@@ -36,25 +36,18 @@ fn assert_close(analytic: f32, numeric: f32, tol: f32, what: &str) {
 }
 
 /// Checks input and parameter gradients of `layer` at point `x` against
-/// central finite differences, using `Mode::Eval` for the forward pass.
+/// central finite differences.
 ///
 /// # Panics
 ///
 /// Panics (failing the test) if any gradient deviates by more than `tol`
 /// relative error.
 pub fn check_layer_gradients(layer: &mut dyn SeqLayer, x: &Mat, tol: f32) {
-    check_layer_gradients_mode(layer, x, tol, Mode::Eval);
-}
-
-/// Same as [`check_layer_gradients`] but with an explicit forward mode
-/// (needed for layers whose backward pass matches the training-mode forward,
-/// e.g. batch normalization).
-pub fn check_layer_gradients_mode(layer: &mut dyn SeqLayer, x: &Mat, tol: f32, mode: Mode) {
     let eps = 1e-2_f32;
 
     // Analytic gradients.
     layer.visit_params(&mut |p| p.zero_grad());
-    let (_, c) = scalar_loss(layer, x, mode);
+    let (_, c) = scalar_loss(layer, x);
     let dx = layer.backward(&c);
     assert_eq!(dx.shape(), x.shape(), "backward must return a gradient shaped like the input");
 
@@ -63,9 +56,9 @@ pub fn check_layer_gradients_mode(layer: &mut dyn SeqLayer, x: &Mat, tol: f32, m
     for i in 0..x.len() {
         let orig = xp.as_slice()[i];
         xp.as_mut_slice()[i] = orig + eps;
-        let (lp, _) = scalar_loss(layer, &xp, mode);
+        let (lp, _) = scalar_loss(layer, &xp);
         xp.as_mut_slice()[i] = orig - eps;
-        let (lm, _) = scalar_loss(layer, &xp, mode);
+        let (lm, _) = scalar_loss(layer, &xp);
         xp.as_mut_slice()[i] = orig;
         let numeric = (lp - lm) / (2.0 * eps);
         assert_close(dx.as_slice()[i], numeric, tol, &format!("d input[{i}]"));
@@ -83,9 +76,9 @@ pub fn check_layer_gradients_mode(layer: &mut dyn SeqLayer, x: &Mat, tol: f32, m
             let mut lp = 0.0;
             let mut lm = 0.0;
             perturb_param(layer, pi, i, eps);
-            lp += scalar_loss(layer, x, mode).0;
+            lp += scalar_loss(layer, x).0;
             perturb_param(layer, pi, i, -2.0 * eps);
-            lm += scalar_loss(layer, x, mode).0;
+            lm += scalar_loss(layer, x).0;
             perturb_param(layer, pi, i, eps);
             let numeric = (lp - lm) / (2.0 * eps);
             assert_close(

@@ -1,6 +1,6 @@
-//! Element-wise activation layers: ReLU, tanh, sigmoid.
+//! The ReLU activation layer and the scalar sigmoid the LSTM gates use.
 
-use crate::layers::{LayerScratch, Mode, SeqLayer};
+use crate::layers::{LayerScratch, SeqLayer};
 use crate::mat::Mat;
 use crate::param::Param;
 
@@ -17,25 +17,18 @@ impl Relu {
     }
 }
 
-/// Writes `f` applied to every element of `x` into `out` without
-/// allocating (shared by the activation layers' `infer_into`). Element-wise,
-/// so the default batched path (treating the stacked batch as one matrix)
-/// is exact.
-fn map_into(x: &Mat, out: &mut Mat, f: impl Fn(f32) -> f32) {
-    out.resize(x.rows(), x.cols());
-    for (o, &v) in out.as_mut_slice().iter_mut().zip(x.as_slice().iter()) {
-        *o = f(v);
-    }
-}
-
 impl SeqLayer for Relu {
-    fn forward(&mut self, x: &Mat, _mode: Mode) -> Mat {
+    fn forward(&mut self, x: &Mat) -> Mat {
         self.cached_input = Some(x.clone());
         x.map(|v| v.max(0.0))
     }
 
-    fn infer_into(&self, x: &Mat, out: &mut Mat, _scratch: &mut LayerScratch) {
-        map_into(x, out, |v| v.max(0.0));
+    // Element-wise, so the stacked batch is treated as one matrix.
+    fn infer(&self, x: &Mat, _batch: usize, out: &mut Mat, _scratch: &mut LayerScratch) {
+        out.resize(x.rows(), x.cols());
+        for (o, &v) in out.as_mut_slice().iter_mut().zip(x.as_slice().iter()) {
+            *o = v.max(0.0);
+        }
     }
 
     fn backward(&mut self, grad_out: &Mat) -> Mat {
@@ -50,55 +43,6 @@ impl SeqLayer for Relu {
     }
 }
 
-/// Hyperbolic tangent activation.
-#[derive(Debug, Default)]
-pub struct TanhLayer {
-    cached_output: Option<Mat>,
-}
-
-impl TanhLayer {
-    /// Creates a tanh layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl SeqLayer for TanhLayer {
-    fn forward(&mut self, x: &Mat, _mode: Mode) -> Mat {
-        let y = x.map(f32::tanh);
-        self.cached_output = Some(y.clone());
-        y
-    }
-
-    fn infer_into(&self, x: &Mat, out: &mut Mat, _scratch: &mut LayerScratch) {
-        map_into(x, out, f32::tanh);
-    }
-
-    fn backward(&mut self, grad_out: &Mat) -> Mat {
-        let y = self.cached_output.as_ref().expect("TanhLayer::backward called before forward");
-        y.zip_with(grad_out, |yi, g| g * (1.0 - yi * yi))
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-
-    fn name(&self) -> &'static str {
-        "Tanh"
-    }
-}
-
-/// Logistic sigmoid activation `1 / (1 + e^-x)`.
-#[derive(Debug, Default)]
-pub struct SigmoidLayer {
-    cached_output: Option<Mat>,
-}
-
-impl SigmoidLayer {
-    /// Creates a sigmoid layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Numerically stable scalar sigmoid.
 pub fn sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
@@ -106,29 +50,6 @@ pub fn sigmoid(x: f32) -> f32 {
     } else {
         let e = x.exp();
         e / (1.0 + e)
-    }
-}
-
-impl SeqLayer for SigmoidLayer {
-    fn forward(&mut self, x: &Mat, _mode: Mode) -> Mat {
-        let y = x.map(sigmoid);
-        self.cached_output = Some(y.clone());
-        y
-    }
-
-    fn infer_into(&self, x: &Mat, out: &mut Mat, _scratch: &mut LayerScratch) {
-        map_into(x, out, sigmoid);
-    }
-
-    fn backward(&mut self, grad_out: &Mat) -> Mat {
-        let y = self.cached_output.as_ref().expect("SigmoidLayer::backward called before forward");
-        y.zip_with(grad_out, |yi, g| g * yi * (1.0 - yi))
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-
-    fn name(&self) -> &'static str {
-        "Sigmoid"
     }
 }
 
@@ -140,7 +61,7 @@ mod tests {
     #[test]
     fn relu_clamps_negatives() {
         let mut l = Relu::new();
-        let y = l.forward(&Mat::from_rows(&[&[-1.0, 0.0, 2.0]]), Mode::Eval);
+        let y = l.forward(&Mat::from_rows(&[&[-1.0, 0.0, 2.0]]));
         assert_eq!(y, Mat::from_rows(&[&[0.0, 0.0, 2.0]]));
     }
 
@@ -155,20 +76,6 @@ mod tests {
     fn relu_gradients_match_numerical() {
         let mut l = Relu::new();
         let x = Mat::from_rows(&[&[-0.5, 0.3, 1.2], &[0.7, -0.1, 0.4]]);
-        check_layer_gradients(&mut l, &x, 1e-2);
-    }
-
-    #[test]
-    fn tanh_gradients_match_numerical() {
-        let mut l = TanhLayer::new();
-        let x = Mat::from_rows(&[&[-0.5, 0.3, 1.2]]);
-        check_layer_gradients(&mut l, &x, 1e-2);
-    }
-
-    #[test]
-    fn sigmoid_gradients_match_numerical() {
-        let mut l = SigmoidLayer::new();
-        let x = Mat::from_rows(&[&[-0.5, 0.3, 1.2]]);
         check_layer_gradients(&mut l, &x, 1e-2);
     }
 }

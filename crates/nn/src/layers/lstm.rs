@@ -2,7 +2,7 @@
 
 use crate::init;
 use crate::kernels::{self, GemmScratch};
-use crate::layers::{LayerScratch, Mode, SeqLayer};
+use crate::layers::{LayerScratch, SeqLayer};
 use crate::mat::Mat;
 use crate::param::Param;
 use rand::Rng;
@@ -106,7 +106,7 @@ impl Lstm {
 }
 
 impl SeqLayer for Lstm {
-    fn forward(&mut self, x: &Mat, _mode: Mode) -> Mat {
+    fn forward(&mut self, x: &Mat) -> Mat {
         let t_len = x.rows();
         let h = self.hidden;
         assert!(t_len > 0, "Lstm: empty input sequence");
@@ -191,11 +191,7 @@ impl SeqLayer for Lstm {
         }
     }
 
-    fn infer_into(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch) {
-        self.infer_batch_into(x, 1, out, scratch);
-    }
-
-    fn infer_batch_into(&self, x: &Mat, batch: usize, out: &mut Mat, scratch: &mut LayerScratch) {
+    fn infer(&self, x: &Mat, batch: usize, out: &mut Mat, scratch: &mut LayerScratch) {
         let h = self.hidden;
         assert!(batch > 0 && x.rows().is_multiple_of(batch), "Lstm: batch does not divide rows");
         let t_len = x.rows() / batch;
@@ -352,8 +348,8 @@ mod tests {
         let mut seq = Lstm::new(3, 5, true, &mut rng);
         let mut last = Lstm::new(3, 5, false, &mut rng);
         let x = init::uniform(&mut rng, 7, 3, 1.0);
-        assert_eq!(seq.forward(&x, Mode::Eval).shape(), (7, 5));
-        assert_eq!(last.forward(&x, Mode::Eval).shape(), (1, 5));
+        assert_eq!(seq.forward(&x).shape(), (7, 5));
+        assert_eq!(last.forward(&x).shape(), (1, 5));
     }
 
     #[test]
@@ -361,9 +357,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         let mut seq = Lstm::new(3, 4, true, &mut rng);
         let x = init::uniform(&mut rng, 6, 3, 1.0);
-        let full = seq.forward(&x, Mode::Eval);
+        let full = seq.forward(&x);
         seq.return_sequences = false;
-        let last = seq.forward(&x, Mode::Eval);
+        let last = seq.forward(&x);
         assert_eq!(last.row(0), full.row(5));
     }
 
@@ -373,7 +369,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut l = Lstm::new(2, 6, true, &mut rng);
         let x = init::uniform(&mut rng, 20, 2, 5.0);
-        let y = l.forward(&x, Mode::Eval);
+        let y = l.forward(&x);
         assert!(y.as_slice().iter().all(|&v| v.abs() < 1.0));
     }
 

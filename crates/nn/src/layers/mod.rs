@@ -1,35 +1,23 @@
 //! Layer implementations and the [`SeqLayer`] abstraction.
 //!
 //! Data flows through the network as `(time, features)` matrices; plain
-//! feature vectors are `(1, features)`. A layer either preserves the time
-//! axis (Dense applied per-row, activations, LSTM with
-//! `return_sequences = true`), shrinks it (Conv1d, MaxPool1d), or reduces it
-//! away ([`reduce::TakeLast`], [`pool::GlobalMaxPool`], [`reduce::Flatten`]).
+//! feature vectors are `(1, features)`. The five layer kinds are the ones
+//! the monitor's two stages are built from: a layer either preserves the
+//! time axis ([`dense::Dense`] applied per row, [`activation::Relu`],
+//! [`lstm::Lstm`] with `return_sequences = true`), shrinks it
+//! ([`conv1d::Conv1d`] with `Padding::Valid`), or reduces it away
+//! ([`pool::GlobalMaxPool`], [`lstm::Lstm`] returning its last state).
 
 pub mod activation;
 pub mod conv1d;
 pub mod dense;
-pub mod dropout;
 pub mod lstm;
-pub mod norm;
 pub mod pool;
-pub mod reduce;
 
 use crate::mat::Mat;
 use crate::param::Param;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// Whether a forward pass is part of training (enables dropout, batch-stat
-/// updates) or inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Mode {
-    /// Training: dropout active, normalization uses batch statistics.
-    Train,
-    /// Inference: deterministic forward pass.
-    #[default]
-    Eval,
-}
 
 /// Caller-owned scratch buffers for the allocation-free inference paths.
 ///
@@ -65,35 +53,24 @@ pub struct LayerScratch {
 ///
 /// `backward` must be called immediately after the `forward` whose
 /// intermediate state it relies on; layers cache activations internally.
-/// Inference (`infer_into` / `infer_batch_into`) takes `&self` plus
-/// caller-owned [`LayerScratch`], so a trained layer is `Sync`-shareable.
+/// Inference ([`SeqLayer::infer`]) takes `&self` plus caller-owned
+/// [`LayerScratch`], so a trained layer is `Sync`-shareable.
 pub trait SeqLayer: Send + Sync {
-    /// Computes the layer output for input `x`.
-    fn forward(&mut self, x: &Mat, mode: Mode) -> Mat;
+    /// Computes the layer output for input `x`, caching what `backward`
+    /// needs.
+    fn forward(&mut self, x: &Mat) -> Mat;
 
-    /// Inference-only forward pass writing the output into `out`.
+    /// Inference over `batch` equally shaped sequences stacked row-wise:
+    /// `x` is `(batch * T, F)` and `out` becomes `(batch * T_out, F_out)`,
+    /// each sequence's block bit-identical to `forward` on that sequence
+    /// alone (`batch = 1` is the single-sequence case).
     ///
-    /// Semantically identical (bit-for-bit) to `forward(x, Mode::Eval)`,
-    /// but caches nothing for `backward` and reuses the caller's scratch
-    /// and `out` allocations, so the steady-state hot path performs no heap
-    /// allocation and the layer itself is not mutated.
-    fn infer_into(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch);
-
-    /// Batched inference over `batch` equally shaped sequences stacked
-    /// row-wise: `x` is `(batch * T, F)` and the output is
-    /// `(batch * T_out, F_out)` with each sequence's block bit-identical to
-    /// what [`SeqLayer::infer_into`] produces for that sequence alone.
-    ///
-    /// The default forwards to `infer_into`, which is correct **only** for
-    /// layers that treat every row independently (dense, activations,
-    /// eval-mode norm/dropout). Layers that mix information across time
-    /// steps (LSTM, Conv1d, pooling, reductions) must override it with a
-    /// sequence-aware implementation or batches would leak across session
-    /// boundaries.
-    fn infer_batch_into(&self, x: &Mat, batch: usize, out: &mut Mat, scratch: &mut LayerScratch) {
-        debug_assert!(batch > 0 && x.rows().is_multiple_of(batch), "batch does not divide rows");
-        self.infer_into(x, out, scratch);
-    }
+    /// Caches nothing for `backward` and reuses the caller's scratch and
+    /// `out` allocations, so the steady-state hot path performs no heap
+    /// allocation and the layer itself is not mutated. Layers that mix
+    /// information across time steps (LSTM, Conv1d, pooling) must keep
+    /// every sequence's rows to themselves.
+    fn infer(&self, x: &Mat, batch: usize, out: &mut Mat, scratch: &mut LayerScratch);
 
     /// Propagates `grad_out` (d loss / d output) backwards, accumulating
     /// parameter gradients and returning d loss / d input.
@@ -126,22 +103,10 @@ pub enum LayerSpec {
     Dense { in_dim: usize, out_dim: usize },
     /// Rectified linear unit.
     Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Inverted dropout with the given drop rate.
-    Dropout { rate: f32 },
-    /// Temporal batch normalization over the time axis.
-    BatchNorm { dim: usize },
     /// 1-D convolution over the time axis.
     Conv1d { in_channels: usize, out_channels: usize, kernel: usize, padding: Padding },
-    /// Max pooling with kernel = stride.
-    MaxPool1d { kernel: usize },
     /// Collapse the time axis by taking per-feature maxima.
     GlobalMaxPool,
-    /// Collapse the time axis by averaging.
-    GlobalAvgPool,
     /// Long short-term memory layer.
     Lstm {
         in_dim: usize,
@@ -150,10 +115,6 @@ pub enum LayerSpec {
         /// the last hidden state as `(1, hidden)`.
         return_sequences: bool,
     },
-    /// Keep only the last time step.
-    TakeLast,
-    /// Flatten `(T, F)` into `(1, T*F)`.
-    Flatten,
 }
 
 /// Instantiates the layer described by `spec`, drawing initial weights from
@@ -162,21 +123,13 @@ pub fn build_layer(spec: &LayerSpec, rng: &mut impl Rng) -> Box<dyn SeqLayer> {
     match *spec {
         LayerSpec::Dense { in_dim, out_dim } => Box::new(dense::Dense::new(in_dim, out_dim, rng)),
         LayerSpec::Relu => Box::new(activation::Relu::new()),
-        LayerSpec::Tanh => Box::new(activation::TanhLayer::new()),
-        LayerSpec::Sigmoid => Box::new(activation::SigmoidLayer::new()),
-        LayerSpec::Dropout { rate } => Box::new(dropout::Dropout::new(rate, rng.gen())),
-        LayerSpec::BatchNorm { dim } => Box::new(norm::BatchNorm::new(dim)),
         LayerSpec::Conv1d { in_channels, out_channels, kernel, padding } => {
             Box::new(conv1d::Conv1d::new(in_channels, out_channels, kernel, padding, rng))
         }
-        LayerSpec::MaxPool1d { kernel } => Box::new(pool::MaxPool1d::new(kernel)),
         LayerSpec::GlobalMaxPool => Box::new(pool::GlobalMaxPool::new()),
-        LayerSpec::GlobalAvgPool => Box::new(pool::GlobalAvgPool::new()),
         LayerSpec::Lstm { in_dim, hidden, return_sequences } => {
             Box::new(lstm::Lstm::new(in_dim, hidden, return_sequences, rng))
         }
-        LayerSpec::TakeLast => Box::new(reduce::TakeLast::new()),
-        LayerSpec::Flatten => Box::new(reduce::Flatten::new()),
     }
 }
 
@@ -192,22 +145,14 @@ mod tests {
         let specs = vec![
             LayerSpec::Dense { in_dim: 3, out_dim: 2 },
             LayerSpec::Relu,
-            LayerSpec::Tanh,
-            LayerSpec::Sigmoid,
-            LayerSpec::Dropout { rate: 0.5 },
-            LayerSpec::BatchNorm { dim: 3 },
             LayerSpec::Conv1d {
                 in_channels: 3,
                 out_channels: 4,
                 kernel: 2,
                 padding: Padding::Valid,
             },
-            LayerSpec::MaxPool1d { kernel: 2 },
             LayerSpec::GlobalMaxPool,
-            LayerSpec::GlobalAvgPool,
             LayerSpec::Lstm { in_dim: 3, hidden: 4, return_sequences: true },
-            LayerSpec::TakeLast,
-            LayerSpec::Flatten,
         ];
         for spec in &specs {
             let layer = build_layer(spec, &mut rng);

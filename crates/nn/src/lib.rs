@@ -5,9 +5,12 @@
 //! (Yasar & Alemzadeh) needed from Keras/TensorFlow, in pure Rust:
 //!
 //! * `(time, features)` sequence tensors ([`mat::Mat`]),
-//! * layers: [`layers::dense::Dense`], [`layers::lstm::Lstm`] (stacked LSTMs
-//!   with full BPTT), [`layers::conv1d::Conv1d`], pooling, dropout,
-//!   batch-norm, activations,
+//! * the five layer kinds the monitor's two stages are built from:
+//!   [`layers::lstm::Lstm`] (stacked LSTMs with full BPTT),
+//!   [`layers::dense::Dense`], [`layers::activation::Relu`],
+//!   [`layers::conv1d::Conv1d`] and [`layers::pool::GlobalMaxPool`], each
+//!   with a training `forward`/`backward` and one batch-shaped inference
+//!   method ([`layers::SeqLayer::infer`]),
 //! * losses: (class-weighted) softmax cross-entropy,
 //! * optimizers: Adam and SGD with step-decay schedules,
 //! * a mini-batch training loop with early stopping
@@ -64,7 +67,7 @@ pub use kernels::int8::{active_gemm_i8_isa, gemm_i8_abt, gemm_i8_abt_with, naive
 pub use kernels::{
     active_gemm_isa, gemm_backend_label, set_gemm_backend, GemmBackend, GemmIsa, GemmScratch,
 };
-pub use layers::{LayerScratch, LayerSpec, Mode, Padding, SeqLayer};
+pub use layers::{LayerScratch, LayerSpec, Padding, SeqLayer};
 pub use mat::Mat;
 pub use network::{Network, NetworkScratch, NetworkSpec, SavedNetwork};
 pub use optim::{Adam, Sgd, StepDecay};

@@ -367,15 +367,6 @@ impl Mat {
         out
     }
 
-    /// Mean over rows, returning a `(1, cols)` matrix. Returns zeros for an
-    /// empty matrix.
-    pub fn mean_rows(&self) -> Mat {
-        if self.rows == 0 {
-            return Mat::zeros(1, self.cols);
-        }
-        self.sum_rows().scale(1.0 / self.rows as f32)
-    }
-
     /// Sum of all elements.
     // lint: hot-path
     pub fn sum(&self) -> f32 {
@@ -539,7 +530,6 @@ mod tests {
     fn row_reductions() {
         let a = Mat::from_rows(&[&[1., 2.], &[3., 4.]]);
         assert_eq!(a.sum_rows(), Mat::from_rows(&[&[4., 6.]]));
-        assert_eq!(a.mean_rows(), Mat::from_rows(&[&[2., 3.]]));
         assert_eq!(a.sum(), 10.0);
     }
 

@@ -1,6 +1,6 @@
 //! Network container: an ordered stack of layers with (de)serialization.
 
-use crate::layers::{build_layer, LayerScratch, LayerSpec, Mode, SeqLayer};
+use crate::layers::{build_layer, LayerScratch, LayerSpec, SeqLayer};
 use crate::mat::Mat;
 use crate::param::Param;
 use rand::rngs::SmallRng;
@@ -27,7 +27,7 @@ impl NetworkSpec {
 ///
 /// ```
 /// use nn::network::{Network, NetworkSpec};
-/// use nn::layers::{LayerSpec, Mode};
+/// use nn::layers::LayerSpec;
 /// use nn::mat::Mat;
 ///
 /// let spec = NetworkSpec::new(vec![
@@ -35,19 +35,15 @@ impl NetworkSpec {
 ///     LayerSpec::Dense { in_dim: 8, out_dim: 3 },
 /// ]);
 /// let mut net = Network::new(spec, 42);
-/// let logits = net.forward(&Mat::zeros(10, 4), Mode::Eval);
+/// let logits = net.forward(&Mat::zeros(10, 4));
 /// assert_eq!(logits.shape(), (1, 3));
 /// ```
 pub struct Network {
     spec: NetworkSpec,
     layers: Vec<Box<dyn SeqLayer>>,
-    /// Owned scratch backing the convenience [`Network::predict_into`];
-    /// the shareable inference paths ([`Network::predict_scratch`],
-    /// [`Network::predict_batch_into`]) take caller-owned scratch instead.
-    scratch: NetworkScratch,
 }
 
-/// Caller-owned buffers for the `&self` inference paths: ping-pong
+/// Caller-owned buffers for the `&self` inference methods: ping-pong
 /// activation matrices plus one [`LayerScratch`] per layer.
 ///
 /// Weights stay in the (shared, read-only) [`Network`]; everything mutable
@@ -64,25 +60,14 @@ pub struct NetworkScratch {
     layers: Vec<LayerScratch>,
 }
 
-/// Shared driver for the allocation-free inference paths: runs `x` through
-/// `layers` (batched when `batch > 1`), ping-ponging activations through the
-/// scratch and writing the final activation into `out`.
-fn run_layers(
-    layers: &[Box<dyn SeqLayer>],
-    x: &Mat,
-    batch: usize,
-    out: &mut Mat,
-    scratch: &mut NetworkScratch,
-) {
-    run_layers_observed(layers, x, batch, out, scratch, &mut |_, _| {});
-}
-
-/// [`run_layers`] with an observation hook: `observe(i, input)` fires with
-/// each layer's *input* activation right before the layer runs. The hook
-/// is how the quantized tier's activation calibration records per-layer
-/// input ranges ([`Network::predict_traced`]) without the network exposing
-/// layer internals; the computation itself is bit-identical to the
-/// unobserved path.
+/// The one inference loop: runs `x` (`batch` sequences stacked
+/// row-wise) through `layers`, ping-ponging activations through the
+/// scratch and writing the final activation into `out`. `observe(i,
+/// input)` fires with each layer's *input* activation right before the
+/// layer runs; the quantized tier's activation calibration records
+/// per-layer input ranges through it ([`Network::predict_traced`]) without
+/// the network exposing layer internals. The hook never changes what is
+/// computed.
 fn run_layers_observed(
     layers: &[Box<dyn SeqLayer>],
     x: &Mat,
@@ -107,14 +92,14 @@ fn run_layers_observed(
         let ls = &mut scratch.layers[i];
         if i == 0 {
             observe(i, x);
-            layer.infer_batch_into(x, batch, &mut scratch.ping, ls);
+            layer.infer(x, batch, &mut scratch.ping, ls);
         } else if cur == 0 {
             observe(i, &scratch.ping);
-            layer.infer_batch_into(&scratch.ping, batch, &mut scratch.pong, ls);
+            layer.infer(&scratch.ping, batch, &mut scratch.pong, ls);
             cur = 1;
         } else {
             observe(i, &scratch.pong);
-            layer.infer_batch_into(&scratch.pong, batch, &mut scratch.ping, ls);
+            layer.infer(&scratch.pong, batch, &mut scratch.ping, ls);
             cur = 0;
         }
     }
@@ -148,12 +133,7 @@ impl Network {
         let mut rng = SmallRng::seed_from_u64(seed);
         let layers: Vec<Box<dyn SeqLayer>> =
             spec.layers.iter().map(|s| build_layer(s, &mut rng)).collect();
-        let scratch = NetworkScratch {
-            ping: Mat::zeros(0, 0),
-            pong: Mat::zeros(0, 0),
-            layers: vec![LayerScratch::default(); layers.len()],
-        };
-        Self { spec, layers, scratch }
+        Self { spec, layers }
     }
 
     /// Creates a caller-owned scratch sized for this network's layer stack,
@@ -177,11 +157,12 @@ impl Network {
         self.layers.len()
     }
 
-    /// Runs the forward pass.
-    pub fn forward(&mut self, x: &Mat, mode: Mode) -> Mat {
+    /// Runs the training forward pass, caching what [`Network::backward`]
+    /// needs. Also the reference the inference methods are tested against.
+    pub fn forward(&mut self, x: &Mat) -> Mat {
         let mut cur = x.clone();
         for layer in &mut self.layers {
-            cur = layer.forward(&cur, mode);
+            cur = layer.forward(&cur);
         }
         cur
     }
@@ -215,30 +196,14 @@ impl Network {
         n
     }
 
-    /// Convenience: forward pass in eval mode.
-    pub fn predict(&mut self, x: &Mat) -> Mat {
-        self.forward(x, Mode::Eval)
-    }
-
-    /// Allocation-free inference through the network-owned scratch, writing
-    /// the logits into `out`.
-    ///
-    /// Produces bit-identical results to [`Network::predict`] but performs
-    /// no heap allocation once the buffers have warmed up to the input
-    /// shape. Unlike `forward`, no state for `backward` is recorded. For a
-    /// network shared across engines or threads, use
-    /// [`Network::predict_scratch`] with caller-owned scratch instead.
-    pub fn predict_into(&mut self, x: &Mat, out: &mut Mat) {
-        let Self { layers, scratch, .. } = self;
-        run_layers(layers, x, 1, out, scratch);
-    }
-
     /// Allocation-free inference with **caller-owned** scratch: the network
     /// itself stays immutable, so one trained `Network` (it is `Sync`) can
     /// serve many engines/threads concurrently, each holding its own
-    /// [`NetworkScratch`]. Bit-identical to [`Network::predict`].
+    /// [`NetworkScratch`]. Bit-identical to [`Network::forward`], but
+    /// records nothing for `backward` and performs no heap allocation once
+    /// the scratch has warmed up to the input shape.
     pub fn predict_scratch(&self, x: &Mat, out: &mut Mat, scratch: &mut NetworkScratch) {
-        run_layers(&self.layers, x, 1, out, scratch);
+        self.predict_batch_into(x, 1, out, scratch);
     }
 
     /// Cross-sequence micro-batched inference: `x` holds `batch` equally
@@ -260,7 +225,7 @@ impl Network {
         out: &mut Mat,
         scratch: &mut NetworkScratch,
     ) {
-        run_layers(&self.layers, x, batch, out, scratch);
+        run_layers_observed(&self.layers, x, batch, out, scratch, &mut |_, _| {});
     }
 
     /// [`Network::predict_scratch`] plus an observation hook:
@@ -386,7 +351,7 @@ mod tests {
     #[test]
     fn forward_produces_logits() {
         let mut net = Network::new(small_spec(), 1);
-        let y = net.forward(&Mat::full(8, 3, 0.5), Mode::Eval);
+        let y = net.forward(&Mat::full(8, 3, 0.5));
         assert_eq!(y.shape(), (1, 2));
     }
 
@@ -395,7 +360,7 @@ mod tests {
         let mut a = Network::new(small_spec(), 7);
         let mut b = Network::new(small_spec(), 7);
         let x = Mat::full(8, 3, 0.3);
-        assert_eq!(a.forward(&x, Mode::Eval), b.forward(&x, Mode::Eval));
+        assert_eq!(a.forward(&x), b.forward(&x));
     }
 
     #[test]
@@ -403,14 +368,14 @@ mod tests {
         let mut a = Network::new(small_spec(), 7);
         let mut b = Network::new(small_spec(), 8);
         let x = Mat::full(8, 3, 0.3);
-        assert_ne!(a.forward(&x, Mode::Eval), b.forward(&x, Mode::Eval));
+        assert_ne!(a.forward(&x), b.forward(&x));
     }
 
     #[test]
     fn snapshot_restore_roundtrip() {
         let mut net = Network::new(small_spec(), 3);
         let x = Mat::full(8, 3, 0.1);
-        let before = net.forward(&x, Mode::Eval);
+        let before = net.forward(&x);
         let snap = net.snapshot_weights();
         // Perturb weights.
         net.visit_params(&mut |p| {
@@ -418,19 +383,19 @@ mod tests {
                 *w += 1.0;
             }
         });
-        assert_ne!(net.forward(&x, Mode::Eval), before);
+        assert_ne!(net.forward(&x), before);
         net.restore_weights(&snap);
-        assert_eq!(net.forward(&x, Mode::Eval), before);
+        assert_eq!(net.forward(&x), before);
     }
 
     #[test]
     fn json_roundtrip_preserves_predictions() {
         let mut net = Network::new(small_spec(), 3);
         let x = Mat::full(8, 3, 0.1);
-        let before = net.forward(&x, Mode::Eval);
+        let before = net.forward(&x);
         let json = net.to_json().unwrap();
         let mut restored = Network::from_json(&json).unwrap();
-        assert_eq!(restored.forward(&x, Mode::Eval), before);
+        assert_eq!(restored.forward(&x), before);
     }
 
     #[test]
@@ -457,76 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_into_is_bit_exact_for_conv_stack() {
-        let mut net = Network::new(small_spec(), 5);
-        let mut out = Mat::zeros(0, 0);
-        // Varying input shapes exercise the scratch-buffer resizing.
-        for t in [8usize, 12, 8, 5] {
-            let x = Mat::from_vec(t, 3, (0..t * 3).map(|i| ((i as f32) * 0.37).sin()).collect());
-            let reference = net.predict(&x);
-            net.predict_into(&x, &mut out);
-            assert_eq!(reference, out, "mismatch at t={t}");
-        }
-    }
-
-    #[test]
-    fn predict_into_is_bit_exact_for_lstm_stack() {
-        let spec = NetworkSpec::new(vec![
-            LayerSpec::Lstm { in_dim: 4, hidden: 6, return_sequences: true },
-            LayerSpec::Lstm { in_dim: 6, hidden: 3, return_sequences: false },
-            LayerSpec::Dense { in_dim: 3, out_dim: 5 },
-            LayerSpec::Relu,
-            LayerSpec::Dense { in_dim: 5, out_dim: 2 },
-        ]);
-        let mut net = Network::new(spec, 11);
-        let mut out = Mat::zeros(0, 0);
-        for t in [10usize, 15, 10] {
-            let x = Mat::from_vec(t, 4, (0..t * 4).map(|i| ((i as f32) * 0.21).cos()).collect());
-            let reference = net.predict(&x);
-            net.predict_into(&x, &mut out);
-            assert_eq!(reference, out, "mismatch at t={t}");
-        }
-    }
-
-    #[test]
-    fn predict_into_covers_every_layer_kind() {
-        // One network touching the layers not covered above.
-        let spec = NetworkSpec::new(vec![
-            LayerSpec::BatchNorm { dim: 3 },
-            LayerSpec::Conv1d {
-                in_channels: 3,
-                out_channels: 4,
-                kernel: 2,
-                padding: Padding::Valid,
-            },
-            LayerSpec::Tanh,
-            LayerSpec::MaxPool1d { kernel: 2 },
-            LayerSpec::Sigmoid,
-            LayerSpec::GlobalAvgPool,
-            LayerSpec::Dense { in_dim: 4, out_dim: 4 },
-            LayerSpec::Dropout { rate: 0.5 },
-            LayerSpec::Flatten,
-            LayerSpec::Dense { in_dim: 4, out_dim: 2 },
-        ]);
-        let mut net = Network::new(spec, 3);
-        let x = Mat::from_vec(9, 3, (0..27).map(|i| (i as f32) * 0.1 - 1.3).collect());
-        let reference = net.predict(&x);
-        let mut out = Mat::zeros(0, 0);
-        net.predict_into(&x, &mut out);
-        assert_eq!(reference, out);
-
-        // TakeLast after a sequence-returning LSTM.
-        let spec = NetworkSpec::new(vec![
-            LayerSpec::Lstm { in_dim: 3, hidden: 4, return_sequences: true },
-            LayerSpec::TakeLast,
-        ]);
-        let mut net = Network::new(spec, 4);
-        let reference = net.predict(&x);
-        net.predict_into(&x, &mut out);
-        assert_eq!(reference, out);
-    }
-
-    #[test]
     fn debug_is_nonempty() {
         let net = Network::new(small_spec(), 1);
         assert!(!format!("{net:?}").is_empty());
@@ -542,93 +437,91 @@ mod tests {
         assert_send_sync::<NetworkScratch>();
     }
 
+    /// Every inference method against the training forward pass, on the
+    /// gesture classifier, both error classifiers (conv and LSTM), a
+    /// sequence-returning LSTM and a valid-padded conv: `forward(x)` equals
+    /// `predict_scratch`, and `predict_scratch` equals each sequence's
+    /// block of `predict_batch_into`. One scratch serves every window
+    /// length and batch size, so buffer resizing is exercised too.
     #[test]
-    fn predict_scratch_matches_predict_into_with_shared_network() {
-        let mut net = Network::new(small_spec(), 5);
-        let mut scratch = net.make_scratch();
-        let mut a = Mat::zeros(0, 0);
-        let mut b = Mat::zeros(0, 0);
-        for t in [8usize, 12, 8] {
-            let x = Mat::from_vec(t, 3, (0..t * 3).map(|i| ((i as f32) * 0.29).sin()).collect());
-            net.predict_into(&x, &mut a);
-            let shared: &Network = &net;
-            shared.predict_scratch(&x, &mut b, &mut scratch);
-            assert_eq!(a, b, "mismatch at t={t}");
-        }
-    }
-
-    /// Batched inference must be bit-identical, per sequence, to running
-    /// each sequence alone — across every layer kind the workspace models
-    /// use (LSTM, Conv1d, pools, reductions, norm, activations, dense).
-    #[test]
-    fn predict_batch_into_is_bit_exact_per_sequence() {
-        let specs = vec![
-            small_spec(),
-            NetworkSpec::new(vec![
-                LayerSpec::Lstm { in_dim: 3, hidden: 6, return_sequences: true },
-                LayerSpec::Lstm { in_dim: 6, hidden: 4, return_sequences: false },
-                LayerSpec::Dense { in_dim: 4, out_dim: 5 },
-                LayerSpec::Relu,
-                LayerSpec::Dense { in_dim: 5, out_dim: 2 },
-            ]),
-            NetworkSpec::new(vec![
-                LayerSpec::BatchNorm { dim: 3 },
-                LayerSpec::Conv1d {
-                    in_channels: 3,
-                    out_channels: 4,
-                    kernel: 2,
-                    padding: Padding::Valid,
-                },
-                LayerSpec::Tanh,
-                LayerSpec::MaxPool1d { kernel: 2 },
-                LayerSpec::Sigmoid,
-                LayerSpec::GlobalAvgPool,
-                LayerSpec::Dense { in_dim: 4, out_dim: 4 },
-                LayerSpec::Dropout { rate: 0.5 },
-                LayerSpec::Flatten,
-                LayerSpec::Dense { in_dim: 4, out_dim: 2 },
-            ]),
-            NetworkSpec::new(vec![
-                LayerSpec::Lstm { in_dim: 3, hidden: 4, return_sequences: true },
-                LayerSpec::TakeLast,
-            ]),
+    fn inference_is_bit_exact_with_forward_and_per_sequence() {
+        let conv = |cin, cout, padding| LayerSpec::Conv1d {
+            in_channels: cin,
+            out_channels: cout,
+            kernel: 3,
+            padding,
+        };
+        let cases = [
+            (
+                "gesture",
+                NetworkSpec::new(vec![
+                    LayerSpec::Lstm { in_dim: 4, hidden: 6, return_sequences: true },
+                    LayerSpec::Lstm { in_dim: 6, hidden: 3, return_sequences: false },
+                    LayerSpec::Dense { in_dim: 3, out_dim: 5 },
+                    LayerSpec::Relu,
+                    LayerSpec::Dense { in_dim: 5, out_dim: 15 },
+                ]),
+            ),
+            (
+                "conv error",
+                NetworkSpec::new(vec![
+                    conv(4, 5, Padding::Same),
+                    LayerSpec::Relu,
+                    conv(5, 6, Padding::Same),
+                    LayerSpec::Relu,
+                    LayerSpec::GlobalMaxPool,
+                    LayerSpec::Dense { in_dim: 6, out_dim: 4 },
+                    LayerSpec::Relu,
+                    LayerSpec::Dense { in_dim: 4, out_dim: 2 },
+                ]),
+            ),
+            (
+                "lstm error",
+                NetworkSpec::new(vec![
+                    LayerSpec::Lstm { in_dim: 4, hidden: 5, return_sequences: false },
+                    LayerSpec::Dense { in_dim: 5, out_dim: 4 },
+                    LayerSpec::Relu,
+                    LayerSpec::Dense { in_dim: 4, out_dim: 2 },
+                ]),
+            ),
+            (
+                "lstm sequences",
+                NetworkSpec::new(vec![LayerSpec::Lstm {
+                    in_dim: 4,
+                    hidden: 3,
+                    return_sequences: true,
+                }]),
+            ),
+            ("valid conv", NetworkSpec::new(vec![conv(4, 3, Padding::Valid), LayerSpec::Relu])),
         ];
-        let t = 9usize;
-        for (si, spec) in specs.into_iter().enumerate() {
-            let net = Network::new(spec, 7 + si as u64);
+        for (ci, (name, spec)) in cases.into_iter().enumerate() {
+            let mut net = Network::new(spec, 7 + ci as u64);
             let mut scratch = net.make_scratch();
-            let windows: Vec<Mat> = (0..3)
-                .map(|w| {
-                    Mat::from_vec(
-                        t,
-                        3,
-                        (0..t * 3).map(|i| ((i + w * 50) as f32 * 0.17).sin()).collect(),
-                    )
-                })
-                .collect();
-            // Reference: each window alone.
-            let mut singles = Vec::new();
-            for w in &windows {
-                let mut out = Mat::zeros(0, 0);
-                net.predict_scratch(w, &mut out, &mut scratch);
-                singles.push(out);
-            }
-            // Batched: stacked windows in one call.
-            let mut stacked = Mat::zeros(windows.len() * t, 3);
-            for (b, w) in windows.iter().enumerate() {
-                stacked.copy_rows_from(w, b * t);
-            }
-            let mut out = Mat::zeros(0, 0);
-            net.predict_batch_into(&stacked, windows.len(), &mut out, &mut scratch);
-            let rows_per_seq = out.rows() / windows.len();
-            for (b, single) in singles.iter().enumerate() {
-                assert_eq!(single.rows(), rows_per_seq, "spec {si}: row count");
-                for r in 0..rows_per_seq {
-                    assert_eq!(
-                        single.row(r),
-                        out.row(b * rows_per_seq + r),
-                        "spec {si}, sequence {b}, row {r}"
-                    );
+            let mut single = Mat::zeros(0, 0);
+            let mut batched = Mat::zeros(0, 0);
+            for t in [9usize, 15, 4, 9] {
+                for batch in [1usize, 3] {
+                    let windows: Vec<Mat> = (0..batch)
+                        .map(|w| {
+                            let vals = (0..t * 4).map(|i| ((i + w * 50) as f32 * 0.17).sin());
+                            Mat::from_vec(t, 4, vals.collect())
+                        })
+                        .collect();
+                    let mut stacked = Mat::zeros(batch * t, 4);
+                    for (b, w) in windows.iter().enumerate() {
+                        stacked.copy_rows_from(w, b * t);
+                    }
+                    net.predict_batch_into(&stacked, batch, &mut batched, &mut scratch);
+                    let rows = batched.rows() / batch;
+                    for (b, w) in windows.iter().enumerate() {
+                        let at = format!("{name}, t={t}, batch={batch}, sequence {b}");
+                        net.predict_scratch(w, &mut single, &mut scratch);
+                        assert_eq!(net.forward(w), single, "forward vs predict_scratch: {at}");
+                        assert_eq!(single.rows(), rows, "row count: {at}");
+                        for r in 0..rows {
+                            assert_eq!(single.row(r), batched.row(b * rows + r), "row {r}: {at}");
+                        }
+                    }
                 }
             }
         }

@@ -160,13 +160,13 @@ mod tests {
     }
 
     fn loss_of(net: &mut Network, x: &Mat, y: usize) -> f32 {
-        let logits = net.forward(x, crate::layers::Mode::Train);
+        let logits = net.forward(x);
         cross_entropy(&logits, y).0
     }
 
     fn one_step(net: &mut Network, x: &Mat, y: usize) {
         net.zero_grad();
-        let logits = net.forward(x, crate::layers::Mode::Train);
+        let logits = net.forward(x);
         let (_, grad) = cross_entropy(&logits, y);
         net.backward(&grad);
     }

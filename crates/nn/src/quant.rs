@@ -42,10 +42,6 @@ use crate::network::Network;
 /// Why a trained network could not be quantized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantError {
-    /// The architecture contains a layer kind the int8 tier does not
-    /// implement (the pipeline's classifiers only use Dense, Relu,
-    /// GlobalMaxPool, Lstm, and Conv1d).
-    Unsupported(&'static str),
     /// No calibration windows were supplied: activation scales would be
     /// arbitrary and the tier would clamp silently.
     NoCalibration,
@@ -54,9 +50,6 @@ pub enum QuantError {
 impl std::fmt::Display for QuantError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            QuantError::Unsupported(name) => {
-                write!(f, "quantized tier does not support layer kind {name}")
-            }
             QuantError::NoCalibration => {
                 f.write_str("activation calibration requires at least one calibration window")
             }
@@ -285,9 +278,9 @@ impl QuantizedNetwork {
     ///
     /// # Errors
     ///
-    /// [`QuantError::Unsupported`] if the architecture contains a layer
-    /// kind outside {Dense, Relu, GlobalMaxPool, Lstm, Conv1d};
-    /// [`QuantError::NoCalibration`] if `calib` is empty.
+    /// [`QuantError::NoCalibration`] if `calib` is empty. Every
+    /// [`LayerSpec`] kind has an int8 counterpart, so no architecture is
+    /// rejected.
     pub fn quantize(net: &mut Network, calib: &[Mat]) -> Result<Self, QuantError> {
         if calib.is_empty() {
             return Err(QuantError::NoCalibration);
@@ -363,14 +356,6 @@ impl QuantizedNetwork {
                         padding,
                     }));
                 }
-                LayerSpec::Tanh => return Err(QuantError::Unsupported("Tanh")),
-                LayerSpec::Sigmoid => return Err(QuantError::Unsupported("Sigmoid")),
-                LayerSpec::Dropout { .. } => return Err(QuantError::Unsupported("Dropout")),
-                LayerSpec::BatchNorm { .. } => return Err(QuantError::Unsupported("BatchNorm")),
-                LayerSpec::MaxPool1d { .. } => return Err(QuantError::Unsupported("MaxPool1d")),
-                LayerSpec::GlobalAvgPool => return Err(QuantError::Unsupported("GlobalAvgPool")),
-                LayerSpec::TakeLast => return Err(QuantError::Unsupported("TakeLast")),
-                LayerSpec::Flatten => return Err(QuantError::Unsupported("Flatten")),
             }
         }
         Ok(Self { layers })
@@ -848,16 +833,6 @@ mod tests {
         assert_eq!(
             QuantizedNetwork::quantize(&mut net, &[]).err(),
             Some(QuantError::NoCalibration)
-        );
-    }
-
-    #[test]
-    fn unsupported_layers_are_rejected_typed() {
-        let mut net = Network::new(NetworkSpec::new(vec![LayerSpec::BatchNorm { dim: 3 }]), 1);
-        let calib = calib_windows(4, 3, 1);
-        assert_eq!(
-            QuantizedNetwork::quantize(&mut net, &calib).err(),
-            Some(QuantError::Unsupported("BatchNorm"))
         );
     }
 }

@@ -1,7 +1,6 @@
 //! Mini-batch training loop with early stopping, matching the paper's
 //! recipe: Adam + step-decay + early stopping on a held-out validation set.
 
-use crate::layers::Mode;
 use crate::loss::cross_entropy_weighted;
 use crate::mat::Mat;
 use crate::network::{Network, NetworkScratch};
@@ -122,7 +121,7 @@ pub fn train_classifier(
             net.zero_grad();
             for &idx in batch {
                 let (x, y) = &train[idx];
-                let logits = net.forward(x, Mode::Train);
+                let logits = net.forward(x);
                 let (loss, grad) = cross_entropy_weighted(&logits, *y, weights);
                 epoch_loss += loss as f64;
                 net.backward(&grad);
@@ -171,8 +170,8 @@ pub fn train_classifier(
 /// [`NetworkScratch`] — the same contract as the serving-side inference
 /// paths — so evaluation can run over a network shared across threads
 /// (e.g. the parallel per-gesture training workers) and allocates nothing
-/// per window once the scratch is warm. Bit-identical to the historical
-/// `forward(x, Mode::Eval)` loop.
+/// per window once the scratch is warm. Bit-identical to a
+/// [`Network::forward`] loop.
 pub fn evaluate(
     net: &Network,
     data: &[Sample],
@@ -230,6 +229,15 @@ mod tests {
             .collect()
     }
 
+    /// Max over time, then a linear head: the smallest classifier built
+    /// from the kept layer kinds.
+    fn pooled_linear(classes: usize) -> NetworkSpec {
+        NetworkSpec::new(vec![
+            LayerSpec::GlobalMaxPool,
+            LayerSpec::Dense { in_dim: 2, out_dim: classes },
+        ])
+    }
+
     #[test]
     fn lstm_classifier_learns_toy_problem() {
         let train = toy_data(40, 1);
@@ -283,9 +291,7 @@ mod tests {
     fn early_stopping_restores_best_weights() {
         let train = toy_data(20, 7);
         let val = toy_data(8, 8);
-        let spec =
-            NetworkSpec::new(vec![LayerSpec::Flatten, LayerSpec::Dense { in_dim: 16, out_dim: 2 }]);
-        let mut net = Network::new(spec, 1);
+        let mut net = Network::new(pooled_linear(2), 1);
         let cfg = TrainConfig {
             epochs: 50,
             batch_size: 4,
@@ -306,8 +312,7 @@ mod tests {
     #[test]
     fn training_is_deterministic_given_seed() {
         let train = toy_data(16, 9);
-        let spec =
-            NetworkSpec::new(vec![LayerSpec::Flatten, LayerSpec::Dense { in_dim: 16, out_dim: 2 }]);
+        let spec = pooled_linear(2);
         let cfg = TrainConfig { epochs: 5, patience: None, ..TrainConfig::default() };
         let mut a = Network::new(spec.clone(), 4);
         let mut b = Network::new(spec, 4);
@@ -319,9 +324,7 @@ mod tests {
 
     #[test]
     fn predict_proba_sums_to_one() {
-        let spec =
-            NetworkSpec::new(vec![LayerSpec::Flatten, LayerSpec::Dense { in_dim: 16, out_dim: 3 }]);
-        let net = Network::new(spec, 1);
+        let net = Network::new(pooled_linear(3), 1);
         let p = predict_proba(&net, &Mat::zeros(8, 2), &mut net.make_scratch());
         assert_eq!(p.len(), 3);
         assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-5);
