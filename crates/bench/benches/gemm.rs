@@ -7,8 +7,8 @@
 //!
 //! * `lstm_gate` — stage-1 LSTM input projection: `(15, 38) · (38, 192)`
 //!   (gesture window × ALL features, into 4·48 fused gates).
-//! * `lstm_gate_batch8` — the same projection micro-batched over 8 sessions
-//!   by the sharded serving tick: `(120, 38) · (38, 192)`.
+//! * `lstm_gate_batch8` — the same projection over 8 stacked windows:
+//!   `(120, 38) · (38, 192)`, the tall-`m` reference for the kernel.
 //! * `im2col` — stage-2 conv as a patch-matrix product:
 //!   `(5, 78) · (78, 16)` (error window × kernel·CRG channels).
 //! * `conv_dw` — conv weight gradient `AᵀB`: `(5, 78)ᵀ · (5, 16)`.
@@ -140,7 +140,7 @@ fn bench_gemm(c: &mut Criterion) {
     let results = [
         // Stage-1 LSTM input projection (the dominant per-frame matmul).
         bench_shape(c, "lstm_gate", "(15x38 * 38x192)", Variant::Ab, 15, 38, 192, 0),
-        // The same, micro-batched over 8 sessions by a serving shard.
+        // The same over 8 stacked windows (tall-m kernel reference).
         bench_shape(c, "lstm_gate_batch8", "(120x38 * 38x192)", Variant::Ab, 120, 38, 192, 0),
         // Stage-2 im2col convolution product.
         bench_shape(c, "im2col", "(5x78 * 78x16)", Variant::Ab, 5, 78, 16, 8),

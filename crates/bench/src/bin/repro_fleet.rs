@@ -3,7 +3,7 @@
 //! `repro_closed_loop` proves one simulated robot can be stopped in time;
 //! this binary proves a **fleet** can: N concurrent guarded procedures ride
 //! one shared `ShardedMonitorPool`, gating decisions travel the sharded
-//! micro-batched serving tick, and a per-tick deadline fails safe (hold,
+//! serving tick, and a per-tick deadline fails safe (hold,
 //! never an un-gated command) when a decision arrives late. The pool's
 //! telemetry decomposes the reaction-time margin into per-decision compute
 //! vs. ingress-to-egress queueing.

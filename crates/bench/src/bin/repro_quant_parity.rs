@@ -11,7 +11,7 @@
 //!    is impossible and not claimed.
 //! 2. **Determinism within the int8 tier (bit-exact).** The same demo
 //!    replayed twice, and the same sessions served through the sharded pool
-//!    at 1 vs 4 workers (different micro-batch shapes), must produce
+//!    at 1 vs 4 workers, must produce
 //!    bit-identical int8 decisions. The gate prints an order-independent
 //!    digest of every int8 output; CI runs this binary under
 //!    `GEMM_BACKEND=scalar` and `GEMM_BACKEND=simd` and diffs the digest
@@ -178,8 +178,7 @@ fn main() {
     let d = digest(&int8_runs);
     assert_eq!(d, digest(&replay), "int8 replay must be bit-identical run to run");
 
-    // ...and the sharded pool's micro-batches agree with batch size 1 at
-    // every worker count (different worker counts => different batches).
+    // ...and the sharded pool agrees with itself at every worker count.
     let shared = Arc::new(pipeline);
     let one = pooled_int8(&shared, &ds, &fold.test, 1);
     let four = pooled_int8(&shared, &ds, &fold.test, 4);

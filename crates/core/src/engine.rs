@@ -19,10 +19,9 @@
 //! ([`MonitorPool`](crate::monitor::MonitorPool)) at that budget.
 
 use crate::config::Precision;
-use crate::pipeline::{ContextMode, ErrorRoute, QuantizedPipeline, TrainedPipeline};
+use crate::pipeline::{ContextMode, QuantizedPipeline, TrainedPipeline};
 use gestures::{Gesture, NUM_GESTURES};
 use kinematics::{KinematicSample, SlidingWindow};
-use nn::loss::softmax_into;
 use nn::{Mat, NetworkScratch, QuantScratch};
 use std::collections::VecDeque;
 
@@ -427,263 +426,6 @@ impl InferenceEngine {
         let smoothed = self.filter.push(raw);
         // lint: allow(panic, reason = "the filter only returns values it admitted, all < NUM_GESTURES; a malformed classifier must fail loud")
         Gesture::from_index(smoothed).expect("MajorityFilter output is bounded by NUM_GESTURES")
-    }
-}
-
-/// One engine+frame pair inside a micro-batched tick ([`step_batch`]).
-///
-/// The engine is referenced by **index** into the engine slice passed to
-/// `step_batch` (not by `&mut`), which lets a long-running worker keep one
-/// reusable `Vec<BatchJob>` across ticks — the serving hot path performs no
-/// per-tick allocation.
-#[derive(Debug, Clone)]
-pub struct BatchJob {
-    /// Index of the per-session engine in the tick's engine slice. An
-    /// engine may appear **at most once** per tick: its sliding window is
-    /// consumed by the batched forward pass.
-    pub engine: usize,
-    /// The frame to feed.
-    pub frame: KinematicSample,
-    /// Externally supplied context — required for engines in
-    /// [`ContextMode::Perfect`], ignored otherwise.
-    pub context: Option<Gesture>,
-}
-
-/// Reusable buffers for [`step_batch`]: stacked window matrices, batched
-/// logits, network scratch for both stages, and tick bookkeeping. One per
-/// shard worker; everything grows to a high-water mark and is reused.
-#[derive(Debug)]
-pub struct BatchScratch {
-    gwindows: Mat,
-    glogits: Mat,
-    gscratch: NetworkScratch,
-    ewindows: Mat,
-    elogits: Mat,
-    escratch: NetworkScratch,
-    /// Int8-tier scratch (both stages, sequential use). Empty on f32 ticks.
-    qscratch: QuantScratch,
-    gmembers: Vec<usize>,
-    eready: Vec<bool>,
-    pending: Vec<(usize, ErrorRoute)>,
-    scores: Vec<Option<f32>>,
-    seen: Vec<bool>,
-}
-
-impl BatchScratch {
-    /// Creates scratch sized for `pipeline`'s two classifier stages.
-    pub fn new(pipeline: &TrainedPipeline) -> Self {
-        Self {
-            gwindows: Mat::zeros(0, 0),
-            glogits: Mat::zeros(0, 0),
-            gscratch: pipeline.gesture_net.make_scratch(),
-            ewindows: Mat::zeros(0, 0),
-            elogits: Mat::zeros(0, 0),
-            escratch: pipeline.error_scratch(),
-            qscratch: QuantScratch::default(),
-            gmembers: Vec::new(),
-            eready: Vec::new(),
-            pending: Vec::new(),
-            scores: Vec::new(),
-            seen: Vec::new(),
-        }
-    }
-}
-
-/// Advances several sessions by one frame each with **cross-session
-/// micro-batching**: all warm stage-1 windows run through one batched
-/// gesture-net forward pass, and stage-2 windows are grouped by the error
-/// classifier they route to and batched per group.
-///
-/// Exactly equivalent — bit-for-bit, per session — to calling
-/// [`InferenceEngine::step`] / [`InferenceEngine::step_with_context`] on
-/// each job in order: every batched row is the same dot-product sequence as
-/// its unbatched counterpart (see `nn::Network::predict_batch_into`), and
-/// per-session state (windows, majority filter) is untouched by batching.
-/// `outputs` is cleared and refilled with one [`EngineStep`] per job, in
-/// job order.
-///
-/// All engines must come from (engines configured identically to)
-/// `pipeline`.
-///
-/// # Panics
-///
-/// Panics when a job references an out-of-range or duplicated engine
-/// index, or when an engine in [`ContextMode::Perfect`] is given no
-/// context — the same invariant [`InferenceEngine::step`] reports as
-/// [`EngineError::MissingContext`]; the serving layer rejects such
-/// submissions before they ever reach a worker, and a loud panic here
-/// beats silently suppressing a session's output in release builds.
-// lint: hot-path
-pub fn step_batch(
-    pipeline: &TrainedPipeline,
-    engines: &mut [InferenceEngine],
-    jobs: &[BatchJob],
-    scratch: &mut BatchScratch,
-    outputs: &mut Vec<EngineStep>,
-) {
-    outputs.clear();
-    if jobs.is_empty() {
-        return;
-    }
-    let BatchScratch {
-        gwindows,
-        glogits,
-        gscratch,
-        ewindows,
-        elogits,
-        escratch,
-        qscratch,
-        gmembers,
-        eready,
-        pending,
-        scores,
-        seen,
-    } = scratch;
-
-    seen.clear();
-    seen.resize(engines.len(), false);
-    for job in jobs.iter() {
-        assert!(job.engine < engines.len(), "step_batch: unknown engine {}", job.engine);
-        // Covers this line and the next: seen was just resized to
-        // engines.len() and job.engine passed the bound assert above.
-        assert!(!seen[job.engine], "step_batch: engine {} appears twice in one tick", job.engine); // lint: allow(panic, reason = "seen is engines.len() long and job.engine passed the bound assert")
-        seen[job.engine] = true;
-    }
-    // One batched forward pass serves the whole tick, so every engine in
-    // it must run at one numeric tier (the serving layer configures a pool
-    // uniformly; mixing tiers requires separate pools).
-    // lint: allow(panic, reason = "jobs is non-empty here and jobs[0].engine passed the entry bound assert")
-    let precision = engines[jobs[0].engine].precision;
-
-    // Phase 1: ingest every frame into its engine's windows (no inference).
-    gmembers.clear();
-    eready.clear();
-    for (j, job) in jobs.iter().enumerate() {
-        // lint: allow(panic, reason = "every job.engine passed the entry bound assert")
-        let e = &mut engines[job.engine];
-        assert!(e.precision == precision, "step_batch: mixed-precision tick");
-        e.frames_seen += 1;
-        if e.mode == ContextMode::Perfect {
-            assert!(job.context.is_some(), "Perfect mode requires context (see EngineError)");
-            e.gesture = job.context;
-        } else {
-            job.frame.to_feature_vec_into(&pipeline.config.gesture_features, &mut e.gfeat);
-            pipeline.gesture_normalizer.apply_frame_inplace(&mut e.gfeat);
-            if e.gesture_window.push(&e.gfeat).is_some() {
-                gmembers.push(j);
-            }
-        }
-        job.frame.to_feature_vec_into(&pipeline.config.features, &mut e.feat);
-        pipeline.normalizer.apply_frame_inplace(&mut e.feat);
-        eready.push(e.window.push(&e.feat).is_some());
-    }
-
-    // Phase 2: one batched stage-1 forward pass for every warm gesture
-    // window, then the per-session smoothing filters.
-    if !gmembers.is_empty() {
-        let n = gmembers.len();
-        // lint: allow(panic, reason = "gmembers is non-empty here and holds indices of jobs; every job.engine passed the entry bound assert")
-        let first = &engines[jobs[gmembers[0]].engine];
-        let gw = first.gesture_window.width();
-        let gd = first.gesture_window.dims();
-        gwindows.resize(n * gw, gd);
-        for (b, &j) in gmembers.iter().enumerate() {
-            // lint: allow(panic, reason = "gmembers holds indices of jobs; every job.engine passed the entry bound assert")
-            let e = &engines[jobs[j].engine];
-            let copied = e.gesture_window.copy_current_into(gwindows, b * gw);
-            debug_assert!(copied, "warm window expected");
-        }
-        match precision {
-            Precision::F32 => {
-                pipeline.gesture_net.predict_batch_into(gwindows, n, glogits, gscratch)
-            }
-            Precision::Int8 => {
-                quantized(pipeline).gesture_net.predict_batch_into(gwindows, n, glogits, qscratch)
-            }
-        }
-        debug_assert_eq!(glogits.cols(), NUM_GESTURES);
-        for (b, &j) in gmembers.iter().enumerate() {
-            let raw = glogits.argmax_row(b);
-            // lint: allow(panic, reason = "gmembers holds indices of jobs; every job.engine passed the entry bound assert")
-            let e = &mut engines[jobs[j].engine];
-            e.gesture = Some(e.smooth_raw_class(raw));
-        }
-    }
-
-    // Phase 3: stage-2 scoring, batched per routed classifier. Grouping by
-    // route is safe because every batched row only depends on its own
-    // window; the stable sort keeps job order within each group.
-    scores.clear();
-    scores.resize(jobs.len(), None);
-    pending.clear();
-    for (j, job) in jobs.iter().enumerate() {
-        // lint: allow(panic, reason = "eready got one push per job in phase 1, so j is in range")
-        if !eready[j] {
-            continue;
-        }
-        // lint: allow(panic, reason = "every job.engine passed the entry bound assert")
-        let e = &engines[job.engine];
-        let routing = match e.mode {
-            ContextMode::NoContext => Some(0),
-            // lint: allow(hot-path, reason = "receiver is an Option, not a Mat -- std .map() name collision in the receiver-blind resolver")
-            _ => e.gesture.map(Gesture::index),
-        };
-        let Some(route_class) = routing else { continue };
-        match pipeline.error_route(route_class, e.mode) {
-            // No classifier for this route: scored 0, like score_window_scratch.
-            // lint: allow(panic, reason = "scores was resized to jobs.len(), so j is in range")
-            None => scores[j] = Some(0.0),
-            Some(route) => pending.push((j, route)),
-        }
-    }
-    pending.sort_by_key(|&(_, route)| route);
-    let mut i = 0usize;
-    while i < pending.len() {
-        // lint: allow(panic, reason = "the loop condition holds i < pending.len()")
-        let route = pending[i].1;
-        let mut end = i + 1;
-        // lint: allow(panic, reason = "the while condition holds end < pending.len()")
-        while end < pending.len() && pending[end].1 == route {
-            end += 1;
-        }
-        let n = end - i;
-        // lint: allow(panic, reason = "pending holds (job index, route) pairs; every job.engine passed the entry bound assert")
-        let first = &engines[jobs[pending[i].0].engine];
-        let w = first.window.width();
-        let d = first.window.dims();
-        ewindows.resize(n * w, d);
-        // lint: allow(panic, reason = "i..end is a scanned run inside pending")
-        for (b, &(j, _)) in pending[i..end].iter().enumerate() {
-            // lint: allow(panic, reason = "pending holds job indices; every job.engine passed the entry bound assert")
-            let e = &engines[jobs[j].engine];
-            let copied = e.window.copy_current_into(ewindows, b * w);
-            debug_assert!(copied, "warm window expected");
-        }
-        match precision {
-            Precision::F32 => {
-                pipeline.error_net(route).predict_batch_into(ewindows, n, elogits, escratch)
-            }
-            Precision::Int8 => quantized(pipeline)
-                .error_net(route)
-                .predict_batch_into(ewindows, n, elogits, qscratch),
-        }
-        // lint: allow(panic, reason = "i..end is a scanned run inside pending")
-        for (b, &(j, _)) in pending[i..end].iter().enumerate() {
-            // Covers this line and the next: pending holds job indices,
-            // every job.engine passed the entry assert, and probs/scores
-            // are sized by construction (binary head, jobs.len()).
-            let e = &mut engines[jobs[j].engine]; // lint: allow(panic, reason = "pending holds job indices bounded by the entry assert; probs/scores sized by construction")
-            softmax_into(elogits.row(b), &mut e.probs);
-            // lint: allow(panic, reason = "probs is the binary head (len 2); scores was resized to jobs.len()")
-            scores[j] = Some(e.probs[1]);
-        }
-        i = end;
-    }
-
-    // Phase 4: assemble per-job steps in submission order.
-    for (j, job) in jobs.iter().enumerate() {
-        // lint: allow(panic, reason = "every job.engine passed the entry bound assert; scores was resized to jobs.len()")
-        outputs.push(EngineStep { gesture: engines[job.engine].gesture, unsafe_score: scores[j] });
     }
 }
 

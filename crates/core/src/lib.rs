@@ -34,8 +34,8 @@
 //! ```
 //!
 //! For production-scale serving — many concurrent sessions sharded across
-//! worker threads over one shared read-only pipeline, with cross-session
-//! micro-batching — see [`serve::ShardedMonitorPool`].
+//! worker threads over one shared read-only pipeline — see
+//! [`serve::ShardedMonitorPool`].
 
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)] // indexed loops mirror the math in numeric kernels
@@ -49,9 +49,7 @@ pub mod report;
 pub mod serve;
 
 pub use config::{ErrorModelKind, MonitorConfig, Precision};
-pub use engine::{
-    step_batch, BatchJob, BatchScratch, EngineError, EngineStep, InferenceEngine, MajorityFilter,
-};
+pub use engine::{EngineError, EngineStep, InferenceEngine, MajorityFilter};
 pub use models::{error_classifier_spec, gesture_classifier_spec};
 pub use monitor::{MonitorOutput, MonitorPool, SafetyMonitor, SessionId};
 pub use pipeline::{

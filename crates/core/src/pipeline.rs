@@ -41,11 +41,8 @@ impl std::fmt::Display for ContextMode {
     }
 }
 
-/// Identity of the stage-2 classifier a window routes to — the grouping key
-/// for cross-session micro-batching ([`crate::engine::step_batch`] stacks
-/// all windows sharing a route into one batched forward pass). `Ord` so
-/// pending work can be grouped with a stable sort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Identity of the stage-2 classifier a window routes to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorRoute {
     /// The dedicated classifier of one gesture class.
     Dedicated(usize),

@@ -314,7 +314,7 @@ impl std::fmt::Display for LatencyStats {
 }
 
 /// Latency decomposition of a serving pool: per-decision **compute** (the
-/// micro-batched forward passes, amortized per frame) and **ingress-to-egress
+/// engine step's forward passes) and **ingress-to-egress
 /// queueing** (frame submit → decision drain, wall clock), so the closed-loop
 /// reaction-time margin can be decomposed into model time vs. load-induced
 /// waiting under fleet traffic. Produced by

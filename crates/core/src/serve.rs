@@ -12,20 +12,17 @@
 //! while decisions already in flight drain normally — so clients of a
 //! long-running pool can connect and leave at will (the network ingress
 //! service in `crates/ingress` rides exactly this surface). Each worker owns only the
-//! **per-session** state (a `Vec` of [`InferenceEngine`]s plus batch
-//! scratch); the [`TrainedPipeline`] — the model weights — is shared
-//! read-only behind an `Arc`, which the `&self` inference paths
-//! (`Network::predict_scratch` and friends) make safe.
+//! **per-session** state (a `Vec` of [`InferenceEngine`]s); the
+//! [`TrainedPipeline`] — the model weights — is shared read-only behind an
+//! `Arc`, which the `&self` inference paths (`Network::predict_scratch`
+//! and friends) make safe.
 //!
-//! Within a shard, frames are processed in **micro-batched ticks**: the
-//! worker drains its ingress queue and advances every distinct session one
-//! frame via [`engine::step_batch`], which fuses the stage-1 forward passes
-//! of all warm sessions into one batched network evaluation and groups
-//! stage-2 windows by their routed error classifier. Determinism is part of
-//! the contract: per session, the emitted decisions are **bit-exactly** the
-//! ones the sequential `MonitorPool` produces, for every `ContextMode` —
-//! batching changes wall-clock, never floats (asserted by
-//! `tests/serve_equivalence.rs`).
+//! Within a shard, jobs run in arrival order: each frame advances its
+//! session through [`InferenceEngine::step`], the same call the sequential
+//! `MonitorPool` makes. Determinism is part of the contract: per session,
+//! the emitted decisions are **bit-exactly** the ones the sequential
+//! `MonitorPool` produces, for every `ContextMode` — sharding changes
+//! wall-clock, never floats (asserted by `tests/serve_equivalence.rs`).
 //!
 //! The module also hosts the workspace's one audited fork-join primitive,
 //! [`parallel_map`], reused by the fault-injection campaign
@@ -33,7 +30,7 @@
 //! parallel-execution path.
 
 use crate::config::Precision;
-use crate::engine::{step_batch, BatchJob, BatchScratch, EngineError, EngineStep, InferenceEngine};
+use crate::engine::{EngineError, InferenceEngine};
 use crate::monitor::{output_from_step, MonitorOutput, SessionId};
 use crate::pipeline::{ContextMode, TrainedPipeline};
 use crate::report::{LatencyStats, PoolStats};
@@ -93,9 +90,9 @@ enum Job {
         slot: usize,
         session: SessionId,
     },
-    /// Frees a slot on session removal: the tick in flight (if the slot is
-    /// in it) runs first so the session's last queued frame still emits its
-    /// decision, then the engine resets for the next tenant.
+    /// Frees a slot on session removal: queued in job order, so the
+    /// session's last frames still emit their decisions before the engine
+    /// resets for the next tenant.
     Unbind {
         slot: usize,
     },
@@ -209,8 +206,7 @@ enum Event {
 }
 
 /// N concurrent sessions sharded across worker threads over one shared
-/// read-only [`TrainedPipeline`], with cross-session micro-batching inside
-/// each shard.
+/// read-only [`TrainedPipeline`].
 ///
 /// Per-session decisions are bit-exactly equal to the sequential
 /// [`MonitorPool`](crate::monitor::MonitorPool); frames of one session are
@@ -531,11 +527,9 @@ impl ShardedMonitorPool {
     }
 
     /// Chaos hook: makes shard `shard` sleep for `dur` at the point the
-    /// stall reaches it in job order. Every decision the shard has not yet
-    /// computed is delayed — frames queued behind the stall *and* frames
-    /// already drained into the micro-tick under construction (the worker
-    /// sleeps before running that tick). Nothing is lost; all decisions
-    /// arrive late. This is the deterministic way to force
+    /// stall reaches it in job order. Every frame queued behind the stall
+    /// has its decision delayed. Nothing is lost; all decisions arrive
+    /// late. This is the deterministic way to force
     /// decision-deadline misses in fail-safe drills
     /// (`faults::run_forced_miss_drill`) and tests.
     ///
@@ -700,27 +694,11 @@ impl Drop for ShardedMonitorPool {
     }
 }
 
-/// The per-shard state a [`run_tick`] call consumes: the tick under
-/// construction plus per-session bookkeeping. All buffers are reused across
-/// ticks — the steady-state worker loop performs no per-tick allocation.
-/// Slots are recycled across sessions ([`Job::Bind`] / [`Job::Unbind`]);
-/// `session_ids[slot]` is the current tenant every emitted decision is
-/// tagged with.
-struct ShardState {
-    engines: Vec<InferenceEngine>,
-    frames_done: Vec<usize>,
-    session_ids: Vec<SessionId>,
-    scratch: BatchScratch,
-    steps: Vec<EngineStep>,
-    /// The tick under construction (at most one job per session) and each
-    /// job's ingress timestamp, index-aligned.
-    tick: Vec<BatchJob>,
-    tick_submitted: Vec<Instant>,
-    in_tick: Vec<bool>,
-}
-
-/// One shard: owns its sessions' engines, drains the ingress queue into
-/// micro-batched ticks, and reports decisions on the egress channel.
+/// One shard: owns its sessions' engines, advances a session by one frame
+/// per [`Job::Frame`] in job order, and reports decisions on the egress
+/// channel. Slots are recycled across sessions ([`Job::Bind`] /
+/// [`Job::Unbind`]); `session_ids[slot]` is the current tenant every
+/// emitted decision is tagged with.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     pipeline: &TrainedPipeline,
@@ -731,137 +709,74 @@ fn worker_loop(
     egress: &Sender<Event>,
     recycle: &Sender<KinematicSample>,
 ) {
-    let mut state = ShardState {
-        engines: Vec::new(),
-        frames_done: Vec::new(),
-        session_ids: Vec::new(),
-        scratch: BatchScratch::new(pipeline),
-        steps: Vec::new(),
-        tick: Vec::new(),
-        tick_submitted: Vec::new(),
-        in_tick: Vec::new(),
-    };
+    let mut engines: Vec<InferenceEngine> = Vec::new();
+    let mut frames_done: Vec<usize> = Vec::new();
+    let mut session_ids: Vec<SessionId> = Vec::new();
 
     // `recv` blocks for work and errors once the pool drops its senders.
-    while let Ok(first) = ingress.recv() {
-        // Drain whatever else is already queued so co-resident sessions
-        // land in the same micro-batched tick.
-        let mut next = Some(first);
-        loop {
-            let Some(job) = next.take() else {
-                match ingress.try_recv() {
-                    Ok(job) => next = Some(job),
-                    Err(_) => break,
-                }
-                continue;
-            };
-            match job {
-                Job::Bind { slot, session } => {
-                    if slot == state.engines.len() {
-                        state
-                            .engines
-                            .push(InferenceEngine::with_precision(pipeline, mode, precision));
-                        state.frames_done.push(0);
-                        state.session_ids.push(session);
-                        state.in_tick.push(false);
-                    } else {
-                        // Recycled slot: frames of the previous tenant were
-                        // all enqueued before the Unbind that freed it, so
-                        // the engine is already reset and out of the tick —
-                        // but reset defensively anyway; a stale window
-                        // leaking into a new session would corrupt silently.
-                        // lint: allow(panic, reason = "the pool binds only freed slots or the one fresh slot at engines.len()")
-                        if state.in_tick[slot] {
-                            run_tick(pipeline, threshold, &mut state, egress, recycle);
-                        }
-                        state.engines[slot].reset(); // lint: allow(panic, reason = "the pool binds only freed slots or the one fresh slot at engines.len()")
-                        state.frames_done[slot] = 0;
-                        state.session_ids[slot] = session; // lint: allow(panic, reason = "the pool binds only freed slots or the one fresh slot at engines.len()")
-                    }
-                }
-                Job::Unbind { slot } => {
-                    // lint: allow(panic, reason = "the pool only unbinds slots it bound earlier")
-                    if state.in_tick[slot] {
-                        // The session's last queued frame must still emit
-                        // its decision before the slot is recycled.
-                        run_tick(pipeline, threshold, &mut state, egress, recycle);
-                    }
-                    state.engines[slot].reset(); // lint: allow(panic, reason = "the pool only unbinds slots it bound earlier")
-                    state.frames_done[slot] = 0;
-                }
-                Job::ResetSession { slot } => {
-                    // lint: allow(panic, reason = "the pool only routes slots it bound via Bind")
-                    if state.in_tick[slot] {
-                        // The session's current frame must be scored (and
-                        // its decision emitted) before the state rewinds.
-                        run_tick(pipeline, threshold, &mut state, egress, recycle);
-                    }
-                    state.engines[slot].reset(); // lint: allow(panic, reason = "the pool only routes slots it bound via Bind")
-                    state.frames_done[slot] = 0;
-                }
-                Job::Stall { dur } => std::thread::sleep(dur),
-                Job::Barrier { token } => {
-                    // Everything before the barrier must be visible.
-                    run_tick(pipeline, threshold, &mut state, egress, recycle);
-                    let _ = egress.send(Event::BarrierAck { token });
-                }
-                Job::Frame { slot, frame, context, submitted } => {
-                    // lint: allow(panic, reason = "the pool only routes slots it bound via Bind")
-                    if state.in_tick[slot] {
-                        // Second frame of the same session: the current
-                        // tick must complete first to keep per-session
-                        // frame order (and window validity).
-                        run_tick(pipeline, threshold, &mut state, egress, recycle);
-                    }
-                    // lint: allow(panic, reason = "the pool only routes slots it bound via Bind")
-                    state.in_tick[slot] = true;
-                    state.tick.push(BatchJob { engine: slot, frame, context });
-                    state.tick_submitted.push(submitted);
+    while let Ok(job) = ingress.recv() {
+        match job {
+            Job::Bind { slot, session } => {
+                if slot == engines.len() {
+                    engines.push(InferenceEngine::with_precision(pipeline, mode, precision));
+                    frames_done.push(0);
+                    session_ids.push(session);
+                } else {
+                    // Recycled slot: the Unbind that freed it already reset
+                    // the engine — but reset defensively anyway; a stale
+                    // window leaking into a new session would corrupt
+                    // silently.
+                    engines[slot].reset(); // lint: allow(panic, reason = "the pool binds only freed slots or the one fresh slot at engines.len()")
+                    frames_done[slot] = 0; // lint: allow(panic, reason = "per-slot vecs grow in lockstep with engines")
+                    session_ids[slot] = session; // lint: allow(panic, reason = "per-slot vecs grow in lockstep with engines")
                 }
             }
+            Job::Unbind { slot } | Job::ResetSession { slot } => {
+                engines[slot].reset(); // lint: allow(panic, reason = "the pool only routes slots it bound via Bind")
+                frames_done[slot] = 0; // lint: allow(panic, reason = "per-slot vecs grow in lockstep with engines")
+            }
+            Job::Stall { dur } => std::thread::sleep(dur),
+            Job::Barrier { token } => {
+                // Jobs run in order, so everything before the barrier has
+                // already emitted its decision.
+                let _ = egress.send(Event::BarrierAck { token });
+            }
+            Job::Frame { slot, frame, context, submitted } => {
+                // lint: allow(panic, reason = "the pool only routes slots it bound via Bind; per-slot vecs grow in lockstep")
+                let output = step_frame(pipeline, threshold, &mut engines[slot], &frame, context);
+                let decision = Decision {
+                    session: session_ids[slot], // lint: allow(panic, reason = "per-slot vecs grow in lockstep with engines")
+                    frame: frames_done[slot], // lint: allow(panic, reason = "per-slot vecs grow in lockstep with engines")
+                    output,
+                };
+                frames_done[slot] += 1; // lint: allow(panic, reason = "per-slot vecs grow in lockstep with engines")
+                let _ = egress.send(Event::Decision { decision, submitted });
+                // Hand the consumed frame buffer back to the pool for the
+                // next `submit` to reuse (the pool may already be gone at
+                // shutdown).
+                let _ = recycle.send(frame);
+            }
         }
-        run_tick(pipeline, threshold, &mut state, egress, recycle);
     }
 }
 
-/// Runs one micro-batched tick and emits its decisions.
+/// Advances one session by one frame and turns the step into its decision.
 // lint: hot-path
-fn run_tick(
+fn step_frame(
     pipeline: &TrainedPipeline,
     threshold: f32,
-    state: &mut ShardState,
-    egress: &Sender<Event>,
-    recycle: &Sender<KinematicSample>,
-) {
-    if state.tick.is_empty() {
-        return;
-    }
-    // lint: allow(determinism, reason = "per-frame latency measurement around step_batch; the scores it brackets are clock-free")
+    engine: &mut InferenceEngine,
+    frame: &KinematicSample,
+    context: Option<Gesture>,
+) -> Option<MonitorOutput> {
+    // lint: allow(determinism, reason = "per-frame latency measurement around the engine step; the scores it brackets are clock-free")
     let start = Instant::now();
-    step_batch(pipeline, &mut state.engines, &state.tick, &mut state.scratch, &mut state.steps);
-    let per_frame_ms = start.elapsed().as_secs_f32() * 1000.0 / state.tick.len() as f32;
-    for ((job, step), &submitted) in
-        state.tick.iter().zip(state.steps.iter()).zip(state.tick_submitted.iter())
-    {
-        let slot = job.engine;
-        let frame_idx = state.frames_done[slot]; // lint: allow(panic, reason = "tick jobs carry slots the pool created via AddSession; per-slot vecs grow in lockstep")
-        state.frames_done[slot] += 1;
-        state.in_tick[slot] = false; // lint: allow(panic, reason = "tick jobs carry slots the pool created via AddSession; per-slot vecs grow in lockstep")
-        let _ = egress.send(Event::Decision {
-            decision: Decision {
-                session: state.session_ids[slot], // lint: allow(panic, reason = "tick jobs carry slots the pool bound via Bind; per-slot vecs grow in lockstep")
-                frame: frame_idx,
-                output: output_from_step(step, threshold, per_frame_ms),
-            },
-            submitted,
-        });
-    }
-    // Hand the consumed frame buffers back to the pool for the next
-    // `submit` to reuse (the pool may already be gone at shutdown).
-    for job in state.tick.drain(..) {
-        let _ = recycle.send(job.frame);
-    }
-    state.tick_submitted.clear();
+    let step = match context {
+        Some(gesture) => engine.step_with_context(pipeline, frame, gesture),
+        // lint: allow(panic, reason = "submit rejects context-less frames for Perfect-mode pools, the only mode step refuses")
+        None => engine.step(pipeline, frame).expect("submit rejects Perfect mode without context"),
+    };
+    output_from_step(&step, threshold, start.elapsed().as_secs_f32() * 1000.0)
 }
 
 /// Splits `0..len` into at most `parts` contiguous chunks whose sizes

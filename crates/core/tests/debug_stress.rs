@@ -1,17 +1,10 @@
 #![cfg(debug_assertions)]
 //! Debug-only stress: exercises the indexing-heavy serving paths — the
-//! majority-filter ring bookkeeping, `parallel_map` chunk arithmetic, and
-//! `step_batch`'s four-phase scatter/gather — with overflow and bounds
-//! checks armed and deliberately ragged inputs. Release builds compile
+//! majority-filter ring bookkeeping and `parallel_map` chunk arithmetic —
+//! with overflow and bounds checks armed and deliberately ragged inputs. Release builds compile
 //! this file out; the debug-profile `cargo test` step in CI runs it.
 
-use context_monitor::{
-    parallel_map, step_batch, BatchJob, BatchScratch, ContextMode, InferenceEngine, MajorityFilter,
-    MonitorConfig, TrainedPipeline,
-};
-use gestures::Task;
-use jigsaws::{generate, GeneratorConfig};
-use kinematics::{Dataset, FeatureSet};
+use context_monitor::{parallel_map, MajorityFilter};
 
 /// Capacity/class boundary sweep: thousands of pushes through every small
 /// filter geometry, including the degenerate capacity-1 and single-class
@@ -46,57 +39,5 @@ fn parallel_map_ragged_partitions() {
             let want: Vec<u64> = data.iter().map(|&x| x * 2 + 1).collect();
             assert_eq!(got, want, "items={items} threads={threads}");
         }
-    }
-}
-
-fn tiny_pipeline(seed: u64) -> (TrainedPipeline, Dataset) {
-    let ds = generate(&GeneratorConfig::fast(Task::Suturing).with_seed(seed));
-    let mut cfg = MonitorConfig::fast(FeatureSet::CRG).with_seed(seed ^ 0x5A);
-    cfg.train.epochs = 1;
-    cfg.train_stride = 8;
-    let idx: Vec<usize> = (0..ds.len()).collect();
-    (TrainedPipeline::train(&ds, &idx, &cfg), ds)
-}
-
-/// Ragged micro-batches: each tick submits a different, shuffled subset of
-/// engines, so `step_batch`'s membership/readiness/pending index juggling
-/// runs against every subset shape rather than the dense all-sessions tick
-/// the equivalence suite covers.
-#[test]
-fn step_batch_ragged_membership() {
-    let (pipeline, ds) = tiny_pipeline(7);
-    let n = 3.min(ds.demos.len());
-    let mut engines: Vec<InferenceEngine> =
-        (0..n).map(|_| InferenceEngine::new(&pipeline, ContextMode::Predicted)).collect();
-    let mut scratch = BatchScratch::new(&pipeline);
-    let mut steps = Vec::new();
-
-    let frames = ds.demos.iter().take(n).map(|d| d.len()).min().unwrap().min(40);
-    let mut cursors = vec![0usize; n];
-    for t in 0..frames {
-        // Subset pattern cycles through singletons, pairs, and the full set.
-        let members: Vec<usize> = match t % 4 {
-            0 => vec![t % n],
-            1 => (0..n).filter(|s| s % 2 == 0).collect(),
-            2 => (0..n).filter(|s| s % 2 == 1).collect(),
-            _ => (0..n).rev().collect(),
-        };
-        let jobs: Vec<BatchJob> = members
-            .iter()
-            .filter(|&&s| cursors[s] < ds.demos[s].len())
-            .map(|&s| BatchJob {
-                engine: s,
-                frame: ds.demos[s].frames[cursors[s]].clone(),
-                context: None,
-            })
-            .collect();
-        for job in &jobs {
-            cursors[job.engine] += 1;
-        }
-        if jobs.is_empty() {
-            continue;
-        }
-        step_batch(&pipeline, &mut engines, &jobs, &mut scratch, &mut steps);
-        assert_eq!(steps.len(), jobs.len(), "tick {t}: one step per job");
     }
 }

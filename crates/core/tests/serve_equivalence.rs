@@ -1,13 +1,13 @@
 //! The serving determinism guarantee: a `ShardedMonitorPool` (multiple
-//! worker threads, cross-session micro-batching, channel transport) must
+//! worker threads, channel transport) must
 //! produce **bit-exactly** the decisions of the sequential `MonitorPool`,
 //! per session, across every `ContextMode` and multiple training seeds.
 //! This is the acceptance criterion CI enforces under `--release`.
 
 use context_monitor::serve::{ServeConfig, ShardedMonitorPool};
 use context_monitor::{
-    step_batch, BatchJob, BatchScratch, ContextMode, EngineError, InferenceEngine, MonitorConfig,
-    MonitorPool, Precision, SafetyMonitor, TrainedPipeline,
+    ContextMode, EngineError, InferenceEngine, MonitorConfig, MonitorPool, Precision,
+    SafetyMonitor, TrainedPipeline,
 };
 use gestures::Task;
 use jigsaws::{generate, GeneratorConfig};
@@ -89,7 +89,7 @@ fn sharded_run(
     outs.into_iter().map(|v| v.into_iter().map(|(_, k)| k).collect()).collect()
 }
 
-/// The headline guarantee: sharded + batched == sequential, bit for bit,
+/// The headline guarantee: sharded == sequential, bit for bit,
 /// for all three context modes and three training seeds.
 #[test]
 fn sharded_pool_is_bit_exactly_equal_to_sequential_pool() {
@@ -114,12 +114,12 @@ fn sharded_pool_is_bit_exactly_equal_to_sequential_pool() {
 }
 
 /// The quantized tier's own determinism guarantee: int8 decisions are
-/// bit-identical across batch size 1 (a lone engine stepped frame by frame)
-/// and the sharded pool's variable micro-batches, across worker counts.
+/// bit-identical between a lone engine stepped frame by frame and the
+/// sharded pool, across worker counts.
 /// Int8 is *not* bit-equal to f32 — the parity gate bounds that accuracy
 /// delta — but within the tier every execution shape must agree exactly.
 #[test]
-fn int8_tier_is_bit_identical_across_workers_and_batch_sizes() {
+fn int8_tier_is_bit_identical_across_workers() {
     let (mut pipeline, ds) = tiny_pipeline(61);
     let idx: Vec<usize> = (0..ds.len()).collect();
     pipeline.quantize(&ds, &idx).expect("built-in specs are quantizable");
@@ -170,36 +170,6 @@ fn int8_pool_on_unquantized_pipeline_fails_at_construction() {
     let cfg = ServeConfig { workers: 1, threshold: 0.5, precision: Precision::Int8 };
     let _pool =
         ShardedMonitorPool::with_sessions(Arc::new(pipeline), ContextMode::Predicted, cfg, 1);
-}
-
-/// `step_batch` (the micro-batching core the shard workers run) advanced
-/// engines must match engines stepped one at a time, bit for bit.
-#[test]
-fn step_batch_matches_sequential_steps() {
-    let (pipeline, ds) = tiny_pipeline(23);
-    let n = 4.min(ds.demos.len());
-
-    // Reference: each demo stepped frame by frame through its own engine.
-    let mut ref_engines: Vec<InferenceEngine> =
-        (0..n).map(|_| InferenceEngine::new(&pipeline, ContextMode::Predicted)).collect();
-    // Batched: the same demos advanced via step_batch ticks.
-    let mut batch_engines: Vec<InferenceEngine> =
-        (0..n).map(|_| InferenceEngine::new(&pipeline, ContextMode::Predicted)).collect();
-    let mut scratch = BatchScratch::new(&pipeline);
-    let mut steps = Vec::new();
-
-    let frames = ds.demos.iter().take(n).map(|d| d.len()).min().unwrap();
-    for t in 0..frames {
-        let mut expected = Vec::new();
-        for (s, engine) in ref_engines.iter_mut().enumerate() {
-            expected.push(engine.step(&pipeline, &ds.demos[s].frames[t]).expect("Predicted mode"));
-        }
-        let jobs: Vec<BatchJob> = (0..n)
-            .map(|s| BatchJob { engine: s, frame: ds.demos[s].frames[t].clone(), context: None })
-            .collect();
-        step_batch(&pipeline, &mut batch_engines, &jobs, &mut scratch, &mut steps);
-        assert_eq!(steps, expected, "tick {t}: batched steps diverged");
-    }
 }
 
 /// A misconfigured caller gets a typed error, not a crash, and the other

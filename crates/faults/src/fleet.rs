@@ -5,13 +5,13 @@
 //! loop for a single simulated robot: each monitored twin owns a private
 //! `InferenceEngine`. This module is the production topology the ROADMAP
 //! asks for — a *fleet* of simulated procedures multiplexed over one
-//! sharded, micro-batched serving pool:
+//! sharded serving pool:
 //!
 //! ```text
 //!   trial 0 ─ plan → fault → PooledReactor ─ apply ─┐
 //!   trial 1 ─ plan → fault → PooledReactor ─ apply ─┤ lockstep tick
 //!   …                                               │
-//!        frames ──────────────► ShardedMonitorPool (shards, micro-batch)
+//!        frames ──────────────► ShardedMonitorPool (shards)
 //!        decisions ◄──────────── drain (barrier or per-tick deadline)
 //! ```
 //!
@@ -153,7 +153,7 @@ pub struct FleetStats {
 /// [`run_closed_loop_campaign`](crate::run_closed_loop_campaign) (same
 /// seeds, same specs — trial-for-trial the open-loop campaign), monitored
 /// twins run in waves of [`FleetConfig::fleet`] concurrent procedures in
-/// lockstep over the pool's micro-batched tick.
+/// lockstep over the pool's serving tick.
 ///
 /// Returns the [`ClosedLoopReport`] (bit-identical across worker counts
 /// under the barrier drain) plus the fleet's serving stats.

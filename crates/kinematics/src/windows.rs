@@ -139,36 +139,6 @@ impl SlidingWindow {
         }
     }
 
-    /// Window width in frames (the row count of every emitted window).
-    // lint: hot-path
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Feature dimension (the column count of every emitted window).
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// Copies the current window into rows `at .. at + width` of `dst`, for
-    /// stacking several sessions' windows into one `(batch * width, dims)`
-    /// matrix ahead of a batched forward pass. Returns `false` (writing
-    /// nothing) while the buffer is still warming up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is narrower than `dims` or the rows do not fit.
-    // lint: hot-path
-    pub fn copy_current_into(&self, dst: &mut Mat, at: usize) -> bool {
-        match self.current() {
-            Some(window) => {
-                dst.copy_rows_from(window, at);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Number of frames currently buffered.
     pub fn len(&self) -> usize {
         self.filled
@@ -253,23 +223,6 @@ mod tests {
             }
         }
         assert_eq!(offline, online);
-    }
-
-    #[test]
-    fn copy_current_into_stacks_windows() {
-        let mut a = SlidingWindow::new(2, 2);
-        let mut b = SlidingWindow::new(2, 2);
-        let mut stacked = Mat::zeros(4, 2);
-        assert!(!a.copy_current_into(&mut stacked, 0), "cold buffer writes nothing");
-        let _ = a.push(&[1.0, 2.0]);
-        let _ = a.push(&[3.0, 4.0]);
-        let _ = b.push(&[5.0, 6.0]);
-        let _ = b.push(&[7.0, 8.0]);
-        assert_eq!(a.width(), 2);
-        assert_eq!(a.dims(), 2);
-        assert!(a.copy_current_into(&mut stacked, 0));
-        assert!(b.copy_current_into(&mut stacked, a.width()));
-        assert_eq!(stacked, Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0], &[7.0, 8.0]]));
     }
 
     #[test]

@@ -23,8 +23,7 @@ impl SeqLayer for Relu {
         x.map(|v| v.max(0.0))
     }
 
-    // Element-wise, so the stacked batch is treated as one matrix.
-    fn infer(&self, x: &Mat, _batch: usize, out: &mut Mat, _scratch: &mut LayerScratch) {
+    fn infer(&self, x: &Mat, out: &mut Mat, _scratch: &mut LayerScratch) {
         out.resize(x.rows(), x.cols());
         for (o, &v) in out.as_mut_slice().iter_mut().zip(x.as_slice().iter()) {
             *o = v.max(0.0);

@@ -106,36 +106,17 @@ impl Conv1d {
 
     /// Fills `out` with the im2col patch matrix `(T', k*Cin)` (shared by the
     /// training and the allocation-free inference paths). `out` must already
-    /// have the patch shape.
+    /// have the patch shape; padding rows stay zero.
     fn patches_into(x: &Mat, lo: usize, k: usize, cin: usize, out: &mut Mat) {
         let t = x.rows();
-        let t_out = out.rows();
         out.fill(0.0);
-        Self::patch_block(x, 0, t, lo, k, cin, out, 0, t_out);
-    }
-
-    /// Writes the patch rows of one sequence — `t` input rows of `x`
-    /// starting at `x_row0` — into `t_out` rows of `out` starting at
-    /// `out_row0`. `out` must be pre-zeroed; padding rows stay zero.
-    #[allow(clippy::too_many_arguments)] // im2col geometry is inherently wide
-    fn patch_block(
-        x: &Mat,
-        x_row0: usize,
-        t: usize,
-        lo: usize,
-        k: usize,
-        cin: usize,
-        out: &mut Mat,
-        out_row0: usize,
-        t_out: usize,
-    ) {
-        for o in 0..t_out {
-            let row = out.row_mut(out_row0 + o);
+        for o in 0..out.rows() {
+            let row = out.row_mut(o);
             for j in 0..k {
                 // Index into the *unpadded* input; out-of-range rows are zero.
                 let src = (o + j) as isize - lo as isize;
                 if src >= 0 && (src as usize) < t {
-                    row[j * cin..(j + 1) * cin].copy_from_slice(x.row(x_row0 + src as usize));
+                    row[j * cin..(j + 1) * cin].copy_from_slice(x.row(src as usize));
                 }
             }
         }
@@ -170,7 +151,7 @@ impl SeqLayer for Conv1d {
         y
     }
 
-    fn infer(&self, x: &Mat, batch: usize, out: &mut Mat, scratch: &mut LayerScratch) {
+    fn infer(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch) {
         assert_eq!(
             x.cols(),
             self.in_channels,
@@ -178,29 +159,9 @@ impl SeqLayer for Conv1d {
             self.in_channels,
             x.cols()
         );
-        assert!(batch > 0 && x.rows().is_multiple_of(batch), "Conv1d: batch does not divide rows");
-        let t = x.rows() / batch;
-        let (lo, _hi) = self.pad_amounts(t);
-        let t_out = self.output_len(t);
-        // One stacked patch matrix for every sequence, then a single fused
-        // matmul — each output row is the same dot product as in the
-        // unbatched path, so results are bit-identical per sequence.
         let patches = &mut scratch.m;
-        patches.resize(batch * t_out, self.kernel * self.in_channels);
-        patches.fill(0.0);
-        for b in 0..batch {
-            Self::patch_block(
-                x,
-                b * t,
-                t,
-                lo,
-                self.kernel,
-                self.in_channels,
-                patches,
-                b * t_out,
-                t_out,
-            );
-        }
+        patches.resize(self.output_len(x.rows()), self.kernel * self.in_channels);
+        Self::patches_into(x, self.pad_amounts(x.rows()).0, self.kernel, self.in_channels, patches);
         kernels::matmul_into(patches, &self.weight.value, out, &mut scratch.gemm);
         out.add_row_inplace(self.bias.value.row(0));
     }

@@ -57,9 +57,7 @@ impl SeqLayer for Dense {
         y
     }
 
-    // Row-wise: one stacked matmul over all sequences is both correct and
-    // the batched fast path.
-    fn infer(&self, x: &Mat, _batch: usize, out: &mut Mat, scratch: &mut LayerScratch) {
+    fn infer(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch) {
         kernels::matmul_into(x, &self.weight.value, out, &mut scratch.gemm);
         out.add_row_inplace(self.bias.value.row(0));
     }

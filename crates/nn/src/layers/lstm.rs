@@ -191,10 +191,9 @@ impl SeqLayer for Lstm {
         }
     }
 
-    fn infer(&self, x: &Mat, batch: usize, out: &mut Mat, scratch: &mut LayerScratch) {
+    fn infer(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch) {
         let h = self.hidden;
-        assert!(batch > 0 && x.rows().is_multiple_of(batch), "Lstm: batch does not divide rows");
-        let t_len = x.rows() / batch;
+        let t_len = x.rows();
         assert!(t_len > 0, "Lstm: empty input sequence");
         assert_eq!(
             x.cols(),
@@ -204,55 +203,51 @@ impl SeqLayer for Lstm {
             x.cols()
         );
 
-        // The input projection of *every* sequence in one fused matmul
-        // (the dominant cost); each row's dot product is independent of the
-        // other rows, so per-sequence results stay bit-identical to the
-        // unbatched path. Only the cheap recurrence below runs per sequence.
+        // The input projection of every time step in one matmul (the
+        // dominant cost); only the recurrence below runs step by step.
         let xw = &mut scratch.m;
-        kernels::matmul_into(x, &self.w.value, xw, &mut scratch.gemm); // (batch*T, 4H)
+        kernels::matmul_into(x, &self.w.value, xw, &mut scratch.gemm); // (T, 4H)
         let hu = &mut scratch.v1;
         let h_state = &mut scratch.v2;
         let c_state = &mut scratch.v3;
         hu.resize(4 * h, 0.0);
         h_state.resize(h, 0.0);
         c_state.resize(h, 0.0);
+        h_state.fill(0.0);
+        c_state.fill(0.0);
         if self.return_sequences {
-            out.resize(batch * t_len, h);
+            out.resize(t_len, h);
         } else {
-            out.resize(batch, h);
+            out.resize(1, h);
         }
 
         let u = &self.u.value;
         let b_row = self.b.value.row(0);
-        for seq in 0..batch {
-            h_state.fill(0.0);
-            c_state.fill(0.0);
-            for t in 0..t_len {
-                // hu = h_{t-1} * U through the same skip-zero kernel as
-                // `forward`, so results match it bit-for-bit.
-                kernels::gemm_ab(1, h, 4 * h, h_state, u.as_slice(), hu, &mut scratch.gemm);
+        for t in 0..t_len {
+            // hu = h_{t-1} * U through the same skip-zero kernel as
+            // `forward`, so results match it bit-for-bit.
+            kernels::gemm_ab(1, h, 4 * h, h_state, u.as_slice(), hu, &mut scratch.gemm);
 
-                let xw_row = xw.row(seq * t_len + t);
-                for k in 0..h {
-                    let zi = xw_row[k] + hu[k] + b_row[k];
-                    let zf = xw_row[h + k] + hu[h + k] + b_row[h + k];
-                    let zg = xw_row[2 * h + k] + hu[2 * h + k] + b_row[2 * h + k];
-                    let zo = xw_row[3 * h + k] + hu[3 * h + k] + b_row[3 * h + k];
-                    let i = Self::sigmoid(zi);
-                    let f = Self::sigmoid(zf);
-                    let g = zg.tanh();
-                    let o = Self::sigmoid(zo);
-                    let c_new = f * c_state[k] + i * g;
-                    c_state[k] = c_new;
-                    h_state[k] = o * c_new.tanh();
-                }
-                if self.return_sequences {
-                    out.row_mut(seq * t_len + t).copy_from_slice(h_state);
-                }
+            let xw_row = xw.row(t);
+            for k in 0..h {
+                let zi = xw_row[k] + hu[k] + b_row[k];
+                let zf = xw_row[h + k] + hu[h + k] + b_row[h + k];
+                let zg = xw_row[2 * h + k] + hu[2 * h + k] + b_row[2 * h + k];
+                let zo = xw_row[3 * h + k] + hu[3 * h + k] + b_row[3 * h + k];
+                let i = Self::sigmoid(zi);
+                let f = Self::sigmoid(zf);
+                let g = zg.tanh();
+                let o = Self::sigmoid(zo);
+                let c_new = f * c_state[k] + i * g;
+                c_state[k] = c_new;
+                h_state[k] = o * c_new.tanh();
             }
-            if !self.return_sequences {
-                out.row_mut(seq).copy_from_slice(h_state);
+            if self.return_sequences {
+                out.row_mut(t).copy_from_slice(h_state);
             }
+        }
+        if !self.return_sequences {
+            out.row_mut(0).copy_from_slice(h_state);
         }
     }
 

@@ -60,17 +60,12 @@ pub trait SeqLayer: Send + Sync {
     /// needs.
     fn forward(&mut self, x: &Mat) -> Mat;
 
-    /// Inference over `batch` equally shaped sequences stacked row-wise:
-    /// `x` is `(batch * T, F)` and `out` becomes `(batch * T_out, F_out)`,
-    /// each sequence's block bit-identical to `forward` on that sequence
-    /// alone (`batch = 1` is the single-sequence case).
+    /// Inference on one `(T, F)` sequence, bit-identical to `forward`.
     ///
     /// Caches nothing for `backward` and reuses the caller's scratch and
     /// `out` allocations, so the steady-state hot path performs no heap
-    /// allocation and the layer itself is not mutated. Layers that mix
-    /// information across time steps (LSTM, Conv1d, pooling) must keep
-    /// every sequence's rows to themselves.
-    fn infer(&self, x: &Mat, batch: usize, out: &mut Mat, scratch: &mut LayerScratch);
+    /// allocation and the layer itself is not mutated.
+    fn infer(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch);
 
     /// Propagates `grad_out` (d loss / d output) backwards, accumulating
     /// parameter gradients and returning d loss / d input.

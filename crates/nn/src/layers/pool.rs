@@ -39,25 +39,17 @@ impl SeqLayer for GlobalMaxPool {
         y
     }
 
-    fn infer(&self, x: &Mat, batch: usize, out: &mut Mat, _scratch: &mut LayerScratch) {
-        assert!(
-            batch > 0 && x.rows().is_multiple_of(batch),
-            "GlobalMaxPool: batch does not divide rows"
-        );
-        let t = x.rows() / batch;
-        assert!(t > 0, "GlobalMaxPool: empty input");
-        let c = x.cols();
-        out.resize(batch, c);
-        for seq in 0..batch {
-            for col in 0..c {
-                let mut best = x[(seq * t, col)];
-                for r in 1..t {
-                    if x[(seq * t + r, col)] > best {
-                        best = x[(seq * t + r, col)];
-                    }
+    fn infer(&self, x: &Mat, out: &mut Mat, _scratch: &mut LayerScratch) {
+        assert!(x.rows() > 0, "GlobalMaxPool: empty input");
+        out.resize(1, x.cols());
+        for col in 0..x.cols() {
+            let mut best = x[(0, col)];
+            for r in 1..x.rows() {
+                if x[(r, col)] > best {
+                    best = x[(r, col)];
                 }
-                out[(seq, col)] = best;
             }
+            out[(0, col)] = best;
         }
     }
 

@@ -9,7 +9,7 @@
 //!   [`layers::lstm::Lstm`] (stacked LSTMs with full BPTT),
 //!   [`layers::dense::Dense`], [`layers::activation::Relu`],
 //!   [`layers::conv1d::Conv1d`] and [`layers::pool::GlobalMaxPool`], each
-//!   with a training `forward`/`backward` and one batch-shaped inference
+//!   with a training `forward`/`backward` and one inference
 //!   method ([`layers::SeqLayer::infer`]),
 //! * losses: (class-weighted) softmax cross-entropy,
 //! * optimizers: Adam and SGD with step-decay schedules,

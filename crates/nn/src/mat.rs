@@ -189,26 +189,6 @@ impl Mat {
         self.data.copy_from_slice(&src.data);
     }
 
-    /// Copies every row of `src` into `self` starting at row `at` — the
-    /// stacking primitive behind the batched inference path: callers build a
-    /// `(batch * T, F)` matrix out of per-session `(T, F)` windows without
-    /// allocating (given capacity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ or `src` does not fit at `at`.
-    // lint: hot-path
-    pub fn copy_rows_from(&mut self, src: &Mat, at: usize) {
-        assert_eq!(self.cols, src.cols, "copy_rows_from: width mismatch");
-        assert!(
-            at + src.rows <= self.rows,
-            "copy_rows_from: {} rows at {at} exceed {} rows",
-            src.rows,
-            self.rows
-        );
-        self.data[at * self.cols..(at + src.rows) * self.cols].copy_from_slice(&src.data);
-    }
-
     /// Matrix product `self * other`.
     ///
     /// # Panics

@@ -60,9 +60,8 @@ pub struct NetworkScratch {
     layers: Vec<LayerScratch>,
 }
 
-/// The one inference loop: runs `x` (`batch` sequences stacked
-/// row-wise) through `layers`, ping-ponging activations through the
-/// scratch and writing the final activation into `out`. `observe(i,
+/// The one inference loop: runs the sequence `x` through `layers`,
+/// ping-ponging activations through the scratch and writing the final activation into `out`. `observe(i,
 /// input)` fires with each layer's *input* activation right before the
 /// layer runs; the quantized tier's activation calibration records
 /// per-layer input ranges through it ([`Network::predict_traced`]) without
@@ -71,13 +70,10 @@ pub struct NetworkScratch {
 fn run_layers_observed(
     layers: &[Box<dyn SeqLayer>],
     x: &Mat,
-    batch: usize,
     out: &mut Mat,
     scratch: &mut NetworkScratch,
     observe: &mut dyn FnMut(usize, &Mat),
 ) {
-    assert!(batch > 0, "batch must be positive");
-    assert_eq!(x.rows() % batch, 0, "batch does not divide input rows");
     if layers.is_empty() {
         out.copy_from(x);
         return;
@@ -92,14 +88,14 @@ fn run_layers_observed(
         let ls = &mut scratch.layers[i];
         if i == 0 {
             observe(i, x);
-            layer.infer(x, batch, &mut scratch.ping, ls);
+            layer.infer(x, &mut scratch.ping, ls);
         } else if cur == 0 {
             observe(i, &scratch.ping);
-            layer.infer(&scratch.ping, batch, &mut scratch.pong, ls);
+            layer.infer(&scratch.ping, &mut scratch.pong, ls);
             cur = 1;
         } else {
             observe(i, &scratch.pong);
-            layer.infer(&scratch.pong, batch, &mut scratch.ping, ls);
+            layer.infer(&scratch.pong, &mut scratch.ping, ls);
             cur = 0;
         }
     }
@@ -137,8 +133,7 @@ impl Network {
     }
 
     /// Creates a caller-owned scratch sized for this network's layer stack,
-    /// for use with [`Network::predict_scratch`] /
-    /// [`Network::predict_batch_into`].
+    /// for use with [`Network::predict_scratch`].
     pub fn make_scratch(&self) -> NetworkScratch {
         NetworkScratch {
             ping: Mat::zeros(0, 0),
@@ -203,29 +198,7 @@ impl Network {
     /// records nothing for `backward` and performs no heap allocation once
     /// the scratch has warmed up to the input shape.
     pub fn predict_scratch(&self, x: &Mat, out: &mut Mat, scratch: &mut NetworkScratch) {
-        self.predict_batch_into(x, 1, out, scratch);
-    }
-
-    /// Cross-sequence micro-batched inference: `x` holds `batch` equally
-    /// shaped `(T, F)` sequences stacked row-wise as `(batch * T, F)`, and
-    /// the output stacks each sequence's result the same way (for the
-    /// classifier heads in this workspace: one `(1, classes)` row per
-    /// sequence, so `out` is `(batch, classes)` and row `b` belongs to
-    /// sequence `b`).
-    ///
-    /// Each sequence's block is **bit-identical** to running that sequence
-    /// alone through [`Network::predict_scratch`]; the speedup comes from
-    /// fusing the row-independent matrix products (dense layers, LSTM input
-    /// projections, im2col convolutions) of all sequences into single
-    /// `matmul_into` calls instead of `batch` small ones.
-    pub fn predict_batch_into(
-        &self,
-        x: &Mat,
-        batch: usize,
-        out: &mut Mat,
-        scratch: &mut NetworkScratch,
-    ) {
-        run_layers_observed(&self.layers, x, batch, out, scratch, &mut |_, _| {});
+        run_layers_observed(&self.layers, x, out, scratch, &mut |_, _| {});
     }
 
     /// [`Network::predict_scratch`] plus an observation hook:
@@ -240,7 +213,7 @@ impl Network {
         scratch: &mut NetworkScratch,
         observe: &mut dyn FnMut(usize, &Mat),
     ) {
-        run_layers_observed(&self.layers, x, 1, out, scratch, observe);
+        run_layers_observed(&self.layers, x, out, scratch, observe);
     }
 
     /// Copies all parameter values out (for early-stopping snapshots).
@@ -437,14 +410,13 @@ mod tests {
         assert_send_sync::<NetworkScratch>();
     }
 
-    /// Every inference method against the training forward pass, on the
-    /// gesture classifier, both error classifiers (conv and LSTM), a
+    /// Inference against the training forward pass, on the gesture
+    /// classifier, both error classifiers (conv and LSTM), a
     /// sequence-returning LSTM and a valid-padded conv: `forward(x)` equals
-    /// `predict_scratch`, and `predict_scratch` equals each sequence's
-    /// block of `predict_batch_into`. One scratch serves every window
-    /// length and batch size, so buffer resizing is exercised too.
+    /// `predict_scratch` and `predict_traced`. One scratch serves every
+    /// window length, so buffer resizing is exercised too.
     #[test]
-    fn inference_is_bit_exact_with_forward_and_per_sequence() {
+    fn inference_is_bit_exact_with_forward() {
         let conv = |cin, cout, padding| LayerSpec::Conv1d {
             in_channels: cin,
             out_channels: cout,
@@ -497,32 +469,16 @@ mod tests {
         for (ci, (name, spec)) in cases.into_iter().enumerate() {
             let mut net = Network::new(spec, 7 + ci as u64);
             let mut scratch = net.make_scratch();
-            let mut single = Mat::zeros(0, 0);
-            let mut batched = Mat::zeros(0, 0);
-            for t in [9usize, 15, 4, 9] {
-                for batch in [1usize, 3] {
-                    let windows: Vec<Mat> = (0..batch)
-                        .map(|w| {
-                            let vals = (0..t * 4).map(|i| ((i + w * 50) as f32 * 0.17).sin());
-                            Mat::from_vec(t, 4, vals.collect())
-                        })
-                        .collect();
-                    let mut stacked = Mat::zeros(batch * t, 4);
-                    for (b, w) in windows.iter().enumerate() {
-                        stacked.copy_rows_from(w, b * t);
-                    }
-                    net.predict_batch_into(&stacked, batch, &mut batched, &mut scratch);
-                    let rows = batched.rows() / batch;
-                    for (b, w) in windows.iter().enumerate() {
-                        let at = format!("{name}, t={t}, batch={batch}, sequence {b}");
-                        net.predict_scratch(w, &mut single, &mut scratch);
-                        assert_eq!(net.forward(w), single, "forward vs predict_scratch: {at}");
-                        assert_eq!(single.rows(), rows, "row count: {at}");
-                        for r in 0..rows {
-                            assert_eq!(single.row(r), batched.row(b * rows + r), "row {r}: {at}");
-                        }
-                    }
-                }
+            let mut out = Mat::zeros(0, 0);
+            let mut traced = Mat::zeros(0, 0);
+            for (w, t) in [9usize, 15, 4, 9].into_iter().enumerate() {
+                let vals = (0..t * 4).map(|i| ((i + w * 50) as f32 * 0.17).sin());
+                let x = Mat::from_vec(t, 4, vals.collect());
+                let at = format!("{name}, t={t}");
+                net.predict_scratch(&x, &mut out, &mut scratch);
+                assert_eq!(net.forward(&x), out, "forward vs predict_scratch: {at}");
+                net.predict_traced(&x, &mut traced, &mut scratch, &mut |_, _| {});
+                assert_eq!(traced, out, "predict_traced vs predict_scratch: {at}");
             }
         }
     }

@@ -17,7 +17,7 @@
 //!   inv_scale), -127, 127)` where `inv_scale` is the reciprocal computed
 //!   **once** at quantization time. Multiply and `round_ties_even` are
 //!   exactly-specified IEEE operations, so quantized outputs are
-//!   bit-identical across runs, batch sizes, worker counts, and — because
+//!   bit-identical across runs, worker counts, and — because
 //!   the int8 GEMM is exact — across scalar/SIMD backends.
 //!
 //! Only inference is quantized; f32 stays the training substrate and the
@@ -194,7 +194,7 @@ struct QConv1d {
     padding: Padding,
 }
 
-/// Quantized LSTM: the batched input projection `x·Wᵀ` uses the calibrated
+/// Quantized LSTM: the input projection `x·Wᵀ` uses the calibrated
 /// input scale; the per-step recurrence `h·Uᵀ` uses the fixed `1/127`
 /// hidden scale (module docs). Gates and cell state stay f32 in the f32
 /// layer's operation order, with [`fast_tanh`]/[`fast_sigmoid`] as the
@@ -238,7 +238,7 @@ struct QuantBuffers {
     acc: Vec<i32>,
     /// i32 accumulator for the per-step LSTM recurrence.
     acc_h: Vec<i32>,
-    /// Dequantized LSTM input projection `(batch·T, 4H)`.
+    /// Dequantized LSTM input projection `(T, 4H)`.
     xw: Mat,
     /// LSTM hidden-to-gate projection.
     hu: Vec<f32>,
@@ -263,8 +263,8 @@ pub struct QuantScratch {
 ///
 /// Outputs are *close to* — not bit-identical to — the f32 network
 /// (quantization error is the point of the parity gate), but are
-/// **bit-identical to themselves** across GEMM backends, batch sizes, and
-/// worker counts: the int8 products are exact and every f32 step follows
+/// **bit-identical to themselves** across GEMM backends and worker
+/// counts: the int8 products are exact and every f32 step follows
 /// one fixed operation order.
 #[derive(Debug, Clone)]
 pub struct QuantizedNetwork {
@@ -371,30 +371,12 @@ impl QuantizedNetwork {
         QuantScratch::default()
     }
 
-    /// Single-sequence quantized inference (see
-    /// [`QuantizedNetwork::predict_batch_into`]).
+    /// Quantized inference on one sequence. The result depends only on
+    /// `x` and the weights, never on what the scratch held before — which
+    /// is what keeps the sharded pool's decisions independent of worker
+    /// count on the int8 tier too.
     // lint: hot-path
     pub fn predict_scratch(&self, x: &Mat, out: &mut Mat, scratch: &mut QuantScratch) {
-        self.predict_batch_into(x, 1, out, scratch);
-    }
-
-    /// Cross-sequence micro-batched quantized inference, mirroring
-    /// [`Network::predict_batch_into`]'s row conventions: `x` holds `batch`
-    /// equally shaped sequences stacked row-wise. Each sequence's block is
-    /// bit-identical to running that sequence alone — row-independent
-    /// integer products plus per-element dequantization — which is what
-    /// keeps the sharded pool's decisions independent of worker count on
-    /// the int8 tier too.
-    // lint: hot-path
-    pub fn predict_batch_into(
-        &self,
-        x: &Mat,
-        batch: usize,
-        out: &mut Mat,
-        scratch: &mut QuantScratch,
-    ) {
-        assert!(batch > 0, "batch must be positive");
-        assert_eq!(x.rows() % batch, 0, "batch does not divide input rows");
         if self.layers.is_empty() {
             out.copy_from(x);
             return;
@@ -403,12 +385,12 @@ impl QuantizedNetwork {
         let mut cur = 0usize;
         for (i, layer) in self.layers.iter().enumerate() {
             if i == 0 {
-                layer.infer_batch(x, batch, ping, buf);
+                layer.infer(x, ping, buf);
             } else if cur == 0 {
-                layer.infer_batch(ping, batch, pong, buf);
+                layer.infer(ping, pong, buf);
                 cur = 1;
             } else {
-                layer.infer_batch(pong, batch, ping, buf);
+                layer.infer(pong, ping, buf);
                 cur = 0;
             }
         }
@@ -417,9 +399,9 @@ impl QuantizedNetwork {
 }
 
 impl QLayer {
-    /// Runs one quantized layer over `batch` stacked sequences.
+    /// Runs one quantized layer.
     // lint: hot-path
-    fn infer_batch(&self, x: &Mat, batch: usize, out: &mut Mat, buf: &mut QuantBuffers) {
+    fn infer(&self, x: &Mat, out: &mut Mat, buf: &mut QuantBuffers) {
         match self {
             QLayer::Dense(d) => d.infer(x, out, buf),
             QLayer::Relu => {
@@ -429,24 +411,20 @@ impl QLayer {
                 }
             }
             QLayer::GlobalMaxPool => {
-                let t = x.rows() / batch;
-                assert!(t > 0, "GlobalMaxPool: empty input");
-                let c = x.cols();
-                out.resize(batch, c);
-                for seq in 0..batch {
-                    for col in 0..c {
-                        let mut best = x[(seq * t, col)];
-                        for r in 1..t {
-                            if x[(seq * t + r, col)] > best {
-                                best = x[(seq * t + r, col)];
-                            }
+                assert!(x.rows() > 0, "GlobalMaxPool: empty input");
+                out.resize(1, x.cols());
+                for col in 0..x.cols() {
+                    let mut best = x[(0, col)];
+                    for r in 1..x.rows() {
+                        if x[(r, col)] > best {
+                            best = x[(r, col)];
                         }
-                        out[(seq, col)] = best;
                     }
+                    out[(0, col)] = best;
                 }
             }
-            QLayer::Lstm(l) => l.infer_batch(x, batch, out, buf),
-            QLayer::Conv1d(cv) => cv.infer_batch(x, batch, out, buf),
+            QLayer::Lstm(l) => l.infer(x, out, buf),
+            QLayer::Conv1d(cv) => cv.infer(x, out, buf),
         }
     }
 }
@@ -546,10 +524,10 @@ impl QConv1d {
     /// Quantizes the input rows once, assembles the int8 im2col patch
     /// matrix (padding is exactly 0), and runs one int8 GEMM per call.
     // lint: hot-path
-    fn infer_batch(&self, x: &Mat, batch: usize, out: &mut Mat, buf: &mut QuantBuffers) {
+    fn infer(&self, x: &Mat, out: &mut Mat, buf: &mut QuantBuffers) {
         let cin = self.in_channels;
         assert_eq!(x.cols(), cin, "QConv1d: expected {} channels, got {}", cin, x.cols());
-        let t = x.rows() / batch;
+        let t = x.rows();
         let t_out = self.output_len(t);
         let lo = self.pad_lo();
         let k = self.kernel;
@@ -559,26 +537,22 @@ impl QConv1d {
         let cout = self.wq.rows();
 
         quantize_rows(x, &self.x, cin, &mut buf.qx);
-        buf.qa.resize(batch * t_out * stride, 0);
+        buf.qa.resize(t_out * stride, 0);
         buf.qa.fill(0);
-        for b in 0..batch {
-            for o in 0..t_out {
-                let row =
-                    &mut buf.qa[(b * t_out + o) * stride..(b * t_out + o) * stride + cin_kcin];
-                for j in 0..k {
-                    let src = (o + j) as isize - lo as isize;
-                    if src >= 0 && (src as usize) < t {
-                        let src_row = (b * t + src as usize) * cin;
-                        row[j * cin..(j + 1) * cin]
-                            .copy_from_slice(&buf.qx[src_row..src_row + cin]);
-                    }
+        for o in 0..t_out {
+            let row = &mut buf.qa[o * stride..o * stride + cin_kcin];
+            for j in 0..k {
+                let src = (o + j) as isize - lo as isize;
+                if src >= 0 && (src as usize) < t {
+                    let src_row = src as usize * cin;
+                    row[j * cin..(j + 1) * cin].copy_from_slice(&buf.qx[src_row..src_row + cin]);
                 }
             }
         }
-        buf.acc.resize(batch * t_out * cout, 0);
-        gemm_i8_abt(batch * t_out, stride, cout, &buf.qa, self.wq.data(), &mut buf.acc);
-        out.resize(batch * t_out, cout);
-        for r in 0..batch * t_out {
+        buf.acc.resize(t_out * cout, 0);
+        gemm_i8_abt(t_out, stride, cout, &buf.qa, self.wq.data(), &mut buf.acc);
+        out.resize(t_out, cout);
+        for r in 0..t_out {
             let acc_row = &buf.acc[r * cout..(r + 1) * cout];
             let out_row = out.row_mut(r);
             for j in 0..cout {
@@ -589,26 +563,26 @@ impl QConv1d {
 }
 
 impl QLstm {
-    /// The f32 layer's fused structure with quantized projections: one
-    /// batched int8 `x·Wᵀ` for every step of every sequence, then the
-    /// cheap per-step recurrence with an int8 `h·Uᵀ` at the fixed `1/127`
-    /// hidden scale. Gate math follows the f32 layer's operation order
-    /// with the deterministic rational nonlinearities ([`fast_tanh`]).
+    /// The f32 layer's structure with quantized projections: one int8
+    /// `x·Wᵀ` for every time step, then the per-step recurrence with an
+    /// int8 `h·Uᵀ` at the fixed `1/127` hidden scale. Gate math follows the
+    /// f32 layer's operation order with the deterministic rational
+    /// nonlinearities ([`fast_tanh`]).
     // lint: hot-path
-    fn infer_batch(&self, x: &Mat, batch: usize, out: &mut Mat, buf: &mut QuantBuffers) {
+    fn infer(&self, x: &Mat, out: &mut Mat, buf: &mut QuantBuffers) {
         let h = self.hidden;
         let in_dim = x.cols();
         assert_eq!(in_dim, self.wq.cols(), "QLstm: input width mismatch");
-        let t_len = x.rows() / batch;
+        let t_len = x.rows();
         assert!(t_len > 0, "QLstm: empty input sequence");
 
-        // Batched input projection.
+        // Input projection of every time step.
         let stride_w = self.wq.stride();
         quantize_rows(x, &self.x, stride_w, &mut buf.qa);
-        buf.acc.resize(batch * t_len * 4 * h, 0);
-        gemm_i8_abt(batch * t_len, stride_w, 4 * h, &buf.qa, self.wq.data(), &mut buf.acc);
-        buf.xw.resize(batch * t_len, 4 * h);
-        for r in 0..batch * t_len {
+        buf.acc.resize(t_len * 4 * h, 0);
+        gemm_i8_abt(t_len, stride_w, 4 * h, &buf.qa, self.wq.data(), &mut buf.acc);
+        buf.xw.resize(t_len, 4 * h);
+        for r in 0..t_len {
             let acc_row = &buf.acc[r * 4 * h..(r + 1) * 4 * h];
             let xw_row = buf.xw.row_mut(r);
             for j in 0..4 * h {
@@ -620,52 +594,50 @@ impl QLstm {
         buf.hu.resize(4 * h, 0.0);
         buf.h.resize(h, 0.0);
         buf.c.resize(h, 0.0);
+        buf.h.fill(0.0);
+        buf.c.fill(0.0);
         // The shared buffer may hold another layer's data; zero it once so
         // the `stride_u - h` padding tail is exact 0 for every step.
         buf.qh.resize(stride_u, 0);
         buf.qh.fill(0);
         buf.acc_h.resize(4 * h, 0);
         if self.return_sequences {
-            out.resize(batch * t_len, h);
+            out.resize(t_len, h);
         } else {
-            out.resize(batch, h);
+            out.resize(1, h);
         }
 
         let b_row = &self.bias;
-        for seq in 0..batch {
-            buf.h.fill(0.0);
-            buf.c.fill(0.0);
-            for t in 0..t_len {
-                // h is in (-1, 1); quantize at the fixed 1/127 scale.
-                for (qh, &hv) in buf.qh[..h].iter_mut().zip(buf.h.iter()) {
-                    *qh = quantize_rne(hv, 127.0);
-                }
-                gemm_i8_abt(1, stride_u, 4 * h, &buf.qh, self.uq.data(), &mut buf.acc_h);
-                for j in 0..4 * h {
-                    buf.hu[j] = buf.acc_h[j] as f32 * self.deq_u[j];
-                }
-                let xw_row = buf.xw.row(seq * t_len + t);
-                let hu = &buf.hu;
-                for k in 0..h {
-                    let zi = xw_row[k] + hu[k] + b_row[k];
-                    let zf = xw_row[h + k] + hu[h + k] + b_row[h + k];
-                    let zg = xw_row[2 * h + k] + hu[2 * h + k] + b_row[2 * h + k];
-                    let zo = xw_row[3 * h + k] + hu[3 * h + k] + b_row[3 * h + k];
-                    let i = fast_sigmoid(zi);
-                    let f = fast_sigmoid(zf);
-                    let g = fast_tanh(zg);
-                    let o = fast_sigmoid(zo);
-                    let c_new = f * buf.c[k] + i * g;
-                    buf.c[k] = c_new;
-                    buf.h[k] = o * fast_tanh(c_new);
-                }
-                if self.return_sequences {
-                    out.row_mut(seq * t_len + t).copy_from_slice(&buf.h);
-                }
+        for t in 0..t_len {
+            // h is in (-1, 1); quantize at the fixed 1/127 scale.
+            for (qh, &hv) in buf.qh[..h].iter_mut().zip(buf.h.iter()) {
+                *qh = quantize_rne(hv, 127.0);
             }
-            if !self.return_sequences {
-                out.row_mut(seq).copy_from_slice(&buf.h);
+            gemm_i8_abt(1, stride_u, 4 * h, &buf.qh, self.uq.data(), &mut buf.acc_h);
+            for j in 0..4 * h {
+                buf.hu[j] = buf.acc_h[j] as f32 * self.deq_u[j];
             }
+            let xw_row = buf.xw.row(t);
+            let hu = &buf.hu;
+            for k in 0..h {
+                let zi = xw_row[k] + hu[k] + b_row[k];
+                let zf = xw_row[h + k] + hu[h + k] + b_row[h + k];
+                let zg = xw_row[2 * h + k] + hu[2 * h + k] + b_row[2 * h + k];
+                let zo = xw_row[3 * h + k] + hu[3 * h + k] + b_row[3 * h + k];
+                let i = fast_sigmoid(zi);
+                let f = fast_sigmoid(zf);
+                let g = fast_tanh(zg);
+                let o = fast_sigmoid(zo);
+                let c_new = f * buf.c[k] + i * g;
+                buf.c[k] = c_new;
+                buf.h[k] = o * fast_tanh(c_new);
+            }
+            if self.return_sequences {
+                out.row_mut(t).copy_from_slice(&buf.h);
+            }
+        }
+        if !self.return_sequences {
+            out.row_mut(0).copy_from_slice(&buf.h);
         }
     }
 }
@@ -798,30 +770,27 @@ mod tests {
         }
     }
 
+    /// One scratch shared by the conv and LSTM networks, across windows
+    /// of several lengths, gives exactly what a fresh scratch gives: no
+    /// state leaks from one call (or one network) into the next.
     #[test]
-    fn batched_quantized_inference_is_bit_exact_per_sequence() {
-        for (spec, seed) in [(conv_spec(), 11u64), (lstm_spec(), 13u64)] {
-            let mut net = Network::new(spec, seed);
-            let t = 9usize;
-            let calib = calib_windows(t, 3, 4);
-            let qnet = QuantizedNetwork::quantize(&mut net, &calib).unwrap();
-            let mut qscratch = qnet.make_scratch();
-            let mut singles = Vec::new();
-            for x in &calib {
-                let mut out = Mat::zeros(0, 0);
-                qnet.predict_scratch(x, &mut out, &mut qscratch);
-                singles.push(out);
-            }
-            let mut stacked = Mat::zeros(calib.len() * t, 3);
-            for (b, w) in calib.iter().enumerate() {
-                stacked.copy_rows_from(w, b * t);
-            }
-            let mut out = Mat::zeros(0, 0);
-            qnet.predict_batch_into(&stacked, calib.len(), &mut out, &mut qscratch);
-            let rows_per_seq = out.rows() / calib.len();
-            for (b, single) in singles.iter().enumerate() {
-                for r in 0..rows_per_seq {
-                    assert_eq!(single.row(r), out.row(b * rows_per_seq + r), "seq {b}, row {r}");
+    fn quantized_inference_is_independent_of_scratch_history() {
+        let nets: Vec<QuantizedNetwork> = [(conv_spec(), 11u64), (lstm_spec(), 13u64)]
+            .into_iter()
+            .map(|(spec, seed)| {
+                let mut net = Network::new(spec, seed);
+                QuantizedNetwork::quantize(&mut net, &calib_windows(9, 3, 4)).unwrap()
+            })
+            .collect();
+        let mut shared = nets[0].make_scratch();
+        let mut got = Mat::zeros(0, 0);
+        let mut want = Mat::zeros(0, 0);
+        for t in [9usize, 15, 4, 9] {
+            for qnet in &nets {
+                for x in &calib_windows(t, 3, 2) {
+                    qnet.predict_scratch(x, &mut got, &mut shared);
+                    qnet.predict_scratch(x, &mut want, &mut qnet.make_scratch());
+                    assert_eq!(got, want, "t={t}");
                 }
             }
         }

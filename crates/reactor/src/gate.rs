@@ -9,7 +9,7 @@
 //!   gate synchronously (one robot, one engine);
 //! * **pooled** — [`PooledReactor`] consumes [`Decision`]s produced by a
 //!   shared [`ShardedMonitorPool`](context_monitor::serve::ShardedMonitorPool),
-//!   so N guarded procedures ride one micro-batched serving tick.
+//!   so N guarded procedures ride one serving tick.
 //!
 //! The pooled shape adds the one thing the in-process shape never needed: a
 //! **deadline**. A pool decision travels ingress → shard → egress, and under
@@ -198,7 +198,7 @@ impl AlertGate {
 
 /// A safety reactor fed by a shared serving pool instead of a private
 /// engine: the fleet deployment shape, where gating decisions ride the
-/// sharded micro-batched tick and a **per-tick deadline** guards against
+/// sharded serving tick and a **per-tick deadline** guards against
 /// decisions arriving too late to act on.
 ///
 /// Wiring (one instance per guarded procedure / pool session):

@@ -225,7 +225,7 @@ fn steady_state_monitor_push_performs_no_heap_allocation() {
     // tick: gate apply (mitigation engaged, worst case) → pool submit
     // (recycled frame buffer) → barrier drain into a reused buffer →
     // decision routing into the gate. The allocator is process-global, so
-    // the shard worker's micro-batched forward pass is measured too; the
+    // the shard worker's forward pass is measured too; the
     // whole loop must be allocation-free once warm.
     let mut pool = ShardedMonitorPool::with_sessions(
         Arc::clone(&pipeline),
